@@ -9,17 +9,7 @@
 // (a 1-core container cannot speed anything up by threading, and a bench
 // that fails for physics reasons would just get deleted from CI).
 //
-// A second phase isolates the FQDN-interning rework (docs/performance.md):
-// the DNS responses of the corpus are replayed through a single sniffer
-// with the zero-allocation scanner (default) and again with the legacy
-// full-decode path (`legacy_dns_decode`), reporting frames/s and peak RSS
-// for both into BENCH_intern.json. The interned run goes first: ru_maxrss
-// is monotonic, so phase order would otherwise hide its smaller footprint.
-//
 // Usage: bench_pipeline_scaling [--frames N] [--out FILE.json]
-//                               [--intern-frames N] [--intern-out FILE.json]
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +21,6 @@
 #include "bench/common.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "packet/decode.hpp"
 #include "pcap/pcapng.hpp"
 #include "pipeline/pipeline.hpp"
 
@@ -269,93 +258,6 @@ void write_obs_json(const std::string& path, std::size_t frames,
                path.c_str());
 }
 
-// ---- FQDN-interning A/B phase ----------------------------------------------
-
-struct InternRun {
-  const char* mode = "";
-  double seconds = 0;
-  double fps = 0;
-  long peak_rss_kb = 0;
-  std::uint64_t dns_responses = 0;
-  std::size_t interned_names = 0;
-  std::size_t arena_bytes = 0;
-};
-
-/// The corpus frames that are DNS responses (UDP with source port 53):
-/// the resolver-heavy slice where decode cost dominates.
-std::vector<pcap::Frame> dns_slice(const std::vector<pcap::Frame>& corpus) {
-  std::vector<pcap::Frame> out;
-  for (const auto& frame : corpus) {
-    packet::DecodeFailure why;
-    const auto decoded =
-        packet::decode_frame(frame.data, frame.timestamp, why);
-    if (decoded && decoded->is_udp() && decoded->src_port() == 53)
-      out.push_back(frame);
-  }
-  return out;
-}
-
-InternRun run_intern_phase(const std::vector<pcap::Frame>& dns_corpus,
-                           std::size_t target_frames, bool legacy) {
-  core::SnifferConfig config;
-  config.legacy_dns_decode = legacy;
-  config.record_dns_log = false;  // isolate decode+resolver-insert cost
-  core::Sniffer sniffer{config};
-  std::size_t processed = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  while (processed < target_frames) {
-    for (const auto& frame : dns_corpus)
-      sniffer.on_frame(frame.data, frame.timestamp);
-    processed += dns_corpus.size();
-  }
-  sniffer.finish();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  InternRun run;
-  run.mode = legacy ? "legacy_decode" : "interned_scan";
-  run.seconds = std::chrono::duration<double>(t1 - t0).count();
-  run.fps = static_cast<double>(processed) / run.seconds;
-  run.dns_responses = sniffer.stats().dns_responses;
-  run.interned_names = sniffer.domain_table()->size();
-  run.arena_bytes = sniffer.domain_table()->arena_bytes();
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  run.peak_rss_kb = usage.ru_maxrss;
-  return run;
-}
-
-void write_intern_json(const std::string& path, std::size_t dns_frames,
-                       unsigned hw_threads, const std::vector<InternRun>& runs,
-                       double speedup) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"fqdn_interning\",\n"
-               "  \"dns_frames\": %zu,\n"
-               "  \"hw_threads\": %u,\n"
-               "  \"interned_over_legacy_fps\": %.3f,\n"
-               "  \"runs\": [\n",
-               dns_frames, hw_threads, speedup);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const InternRun& r = runs[i];
-    std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"seconds\": %.4f, \"fps\": %.0f, "
-                 "\"peak_rss_kb\": %ld, \"dns_responses\": %llu, "
-                 "\"interned_names\": %zu, \"arena_bytes\": %zu}%s\n",
-                 r.mode, r.seconds, r.fps, r.peak_rss_kb,
-                 static_cast<unsigned long long>(r.dns_responses),
-                 r.interned_names, r.arena_bytes,
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-}
-
 void write_json(const std::string& path, std::size_t frames,
                 unsigned hardware, bool gated, bool gate_passed,
                 bool pin_shards, const std::vector<RunResult>& runs) {
@@ -404,8 +306,6 @@ void write_json(const std::string& path, std::size_t frames,
 int main(int argc, char** argv) {
   std::size_t target_frames = 500000;
   std::string out_path = "BENCH_pipeline.json";
-  std::size_t intern_frames = 1000000;
-  std::string intern_out = "BENCH_intern.json";
   std::string streaming_out = "BENCH_streaming.json";
   std::string obs_out = "BENCH_obs.json";
   bool obs_gate = true;
@@ -415,10 +315,6 @@ int main(int argc, char** argv) {
       target_frames = std::strtoul(argv[++i], nullptr, 10);
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
       out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--intern-frames") == 0 && i + 1 < argc)
-      intern_frames = std::strtoul(argv[++i], nullptr, 10);
-    else if (std::strcmp(argv[i], "--intern-out") == 0 && i + 1 < argc)
-      intern_out = argv[++i];
     else if (std::strcmp(argv[i], "--streaming-out") == 0 && i + 1 < argc)
       streaming_out = argv[++i];
     else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc)
@@ -578,33 +474,5 @@ int main(int argc, char** argv) {
   reporter.report("trace_overhead_pct", overhead_pct);
   write_obs_json(obs_out, corpus.size(), hardware, trace_jobs, overhead_pct,
                  obs_gate, !obs_gate || overhead_passed, trace_runs);
-
-  const auto dns = dns_slice(corpus);
-  std::printf("\nFQDN interning A/B over %s DNS-response frames "
-              "(replayed to %s):\n",
-              util::with_commas(dns.size()).c_str(),
-              util::with_commas(intern_frames).c_str());
-  std::vector<InternRun> intern_runs;
-  intern_runs.push_back(run_intern_phase(dns, intern_frames, false));
-  intern_runs.push_back(run_intern_phase(dns, intern_frames, true));
-  const double intern_speedup = intern_runs[0].fps / intern_runs[1].fps;
-  util::TextTable intern_table{{"mode", "seconds", "frames/s", "peak RSS KiB",
-                                "names", "arena bytes"}};
-  for (const auto& run : intern_runs) {
-    std::snprintf(buffer, sizeof buffer, "%.2f", run.seconds);
-    std::string seconds{buffer};
-    intern_table.add_row(
-        {run.mode, seconds,
-         util::with_commas(static_cast<std::uint64_t>(run.fps)),
-         util::with_commas(static_cast<std::uint64_t>(run.peak_rss_kb)),
-         util::with_commas(run.interned_names),
-         util::with_commas(run.arena_bytes)});
-  }
-  std::printf("%s", intern_table.render().c_str());
-  std::printf("interned scan vs legacy decode: %.2fx frames/s\n",
-              intern_speedup);
-  reporter.report("intern_speedup", intern_speedup);
-  write_intern_json(intern_out, dns.size(), hardware, intern_runs,
-                    intern_speedup);
   return ok ? 0 : 1;
 }

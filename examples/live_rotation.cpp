@@ -1,16 +1,17 @@
 // Long-running deployment pattern: the paper's sniffer ran live at three
-// vantage points for months. LiveAnalyzer rotates the labeled flow
-// database on clean window boundaries, so each completed window can be
-// persisted and analyzed while memory stays bounded — here every 30-minute
-// window is written as TSV and summarized, exactly what a production
-// deployment's collection loop looks like.
+// vantage points for months. The ingest pipeline's window rotation
+// (PipelineConfig::window) hands over the labeled flow database on clean
+// window boundaries, so each completed window can be persisted and
+// analyzed while memory stays bounded — here every 30-minute window is
+// written as TSV and summarized, exactly what a production deployment's
+// collection loop looks like.
 //
 // Run: ./build/examples/live_rotation
 #include <cstdio>
 
 #include "core/flowdb_io.hpp"
-#include "core/live.hpp"
 #include "pcap/pcapng.hpp"
+#include "pipeline/pipeline.hpp"
 #include "trafficgen/profiles.hpp"
 #include "trafficgen/simulator.hpp"
 #include "util/strings.hpp"
@@ -26,11 +27,14 @@ int main() {
   std::printf("generating 2h capture ...\n");
   sim.write_pcap(pcap);
 
-  core::LiveConfig config;
+  pipeline::PipelineConfig config;
+  config.shards = 1;
   config.window = util::Duration::minutes(30);
 
+  // The sink runs on the pipeline's merge thread, once per window, in
+  // window order.
   int window_id = 0;
-  core::LiveAnalyzer live{
+  pipeline::ShardedAnalyzer live{
       config, [&](core::AnalysisWindow&& window) {
         std::uint64_t labeled = 0;
         for (const auto& flow : window.db.flows()) labeled += flow.labeled();
@@ -60,6 +64,6 @@ int main() {
   std::printf(
       "\n%llu windows delivered; resolver and open-flow state persisted "
       "across all of them.\n",
-      static_cast<unsigned long long>(live.windows_delivered()));
+      static_cast<unsigned long long>(live.stats().windows_merged));
   return 0;
 }

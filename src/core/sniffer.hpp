@@ -42,6 +42,17 @@ struct DnsEvent {
   DomainId fqdn_id = kEmptyDomainId;
 };
 
+/// One rotated window of labeled traffic: the flows that completed in it
+/// and the DNS responses sniffed in it. The sharded pipeline delivers one
+/// per window boundary (pipeline::PipelineConfig::window), or one
+/// covering the whole stream.
+struct AnalysisWindow {
+  util::Timestamp start;
+  util::Timestamp end;
+  FlowDatabase db;
+  std::vector<DnsEvent> dns_log;
+};
+
 struct SnifferConfig {
   /// Clist size L (paper Sec. 6 dimensions this against cache lifetime).
   std::size_t clist_size = 1 << 20;
@@ -59,11 +70,6 @@ struct SnifferConfig {
   /// Read damaged pcap files in skip-and-resync mode instead of aborting
   /// at the first corrupt record (see pcap::Reader::Mode).
   bool resync_capture = false;
-  /// Decode DNS responses with the full DnsMessage codec instead of the
-  /// zero-allocation wire scanner. The two accept/reject and classify
-  /// identically (tested differentially); this switch exists for A/B
-  /// benchmarking and as a fallback while the scanner soaks.
-  bool legacy_dns_decode = false;
   /// Shard label on this sniffer's per-instance gauges
   /// (`dnh_resolver_cache_size{shard=N}`, ...). The sharded pipeline sets
   /// its worker index; the single-threaded path keeps 0. Counters are
@@ -172,9 +178,9 @@ class Sniffer {
 
   /// Moves the accumulated flow database out and starts a fresh one; the
   /// resolver and live flow table are untouched (window rotation for
-  /// long-running deployments — see core/live.hpp). The fresh database
-  /// shares the sniffer's DomainTable, so labels interned in earlier
-  /// windows stay valid and are not re-copied.
+  /// long-running deployments — see pipeline::PipelineConfig::window).
+  /// The fresh database shares the sniffer's DomainTable, so labels
+  /// interned in earlier windows stay valid and are not re-copied.
   FlowDatabase take_database() {
     FlowDatabase out = std::move(database_);
     database_ = FlowDatabase{domains_};

@@ -295,26 +295,27 @@ std::string human_summary(const Snapshot& snap) {
   std::string out;
 
   // Stage latency breakdown: every `dnh_stage_*_ns` histogram, with its
-  // share of the total instrumented time. Sampled stages' totals cover
-  // the sampled spans only — shares compare like with like, not absolute
-  // wall time (see docs/observability.md).
+  // share of the total instrumented time. A stage sampled 1 in N has its
+  // span sum scaled by N, so sampled and fully timed stages compare like
+  // with like (see docs/observability.md).
   double total_stage_ns = 0;
   for (const auto& [name, hist] : snap.histograms) {
     if (name.rfind("dnh_stage_", 0) == 0)
-      total_stage_ns += static_cast<double>(hist.sum);
+      total_stage_ns += hist.estimated_sum();
   }
   if (total_stage_ns > 0) {
-    out += "stage latency (sampled spans):\n";
-    util::TextTable table{
-        {"stage", "spans", "p50", "p90", "p99", "total", "share"}};
+    out += "stage latency (totals scaled by sample rate):\n";
+    util::TextTable table{{"stage", "spans", "sampled", "p50", "p90", "p99",
+                           "est. total", "share"}};
     for (const auto& [name, hist] : snap.histograms) {
       if (name.rfind("dnh_stage_", 0) != 0 || hist.count == 0) continue;
       table.add_row(
           {name, util::with_commas(hist.count),
+           hist.sample_every == 1 ? std::string{"all"}
+                                  : "1/" + std::to_string(hist.sample_every),
            format_ns(hist.quantile(0.5)), format_ns(hist.quantile(0.9)),
-           format_ns(hist.quantile(0.99)),
-           format_ns(static_cast<double>(hist.sum)),
-           util::percent(static_cast<double>(hist.sum) / total_stage_ns)});
+           format_ns(hist.quantile(0.99)), format_ns(hist.estimated_sum()),
+           util::percent(hist.estimated_sum() / total_stage_ns)});
     }
     out += table.render();
   }

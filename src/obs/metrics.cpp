@@ -114,6 +114,13 @@ void Histogram::observe(std::uint64_t v) const noexcept {
   state_->count.fetch_add(1, std::memory_order_relaxed);
 }
 
+void Histogram::observe(std::uint64_t v,
+                        std::uint32_t sample_every) const noexcept {
+  if (!state_) return;
+  state_->sample_every.store(sample_every, std::memory_order_relaxed);
+  observe(v);
+}
+
 std::uint64_t Histogram::count() const noexcept {
   return state_ ? state_->count.load(std::memory_order_relaxed) : 0;
 }
@@ -259,6 +266,7 @@ Snapshot Registry::collect() const {
     HistogramSnapshot hist;
     hist.count = state->count.load(std::memory_order_relaxed);
     hist.sum = state->sum.load(std::memory_order_relaxed);
+    hist.sample_every = state->sample_every.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
       const std::uint64_t n =
           state->buckets[i].load(std::memory_order_relaxed);

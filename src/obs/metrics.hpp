@@ -180,6 +180,10 @@ class Histogram {
   Histogram() = default;
 
   void observe(std::uint64_t v) const noexcept;
+  /// Records a span admitted by a 1-in-`sample_every` gate. The rate is
+  /// kept with the histogram, so readers can scale the sum of the sampled
+  /// spans to an estimated total (HistogramSnapshot::estimated_sum).
+  void observe(std::uint64_t v, std::uint32_t sample_every) const noexcept;
   std::uint64_t count() const noexcept;
   std::uint64_t sum() const noexcept;
   bool valid() const noexcept { return state_ != nullptr; }
@@ -196,6 +200,7 @@ struct HistogramState {
   std::string name;
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint32_t> sample_every{1};
   std::atomic<std::uint64_t> buckets[Histogram::kBuckets]{};
 };
 }  // namespace detail
@@ -204,6 +209,8 @@ struct HistogramState {
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
+  /// 1 when every span is recorded; N when only 1 in N is.
+  std::uint32_t sample_every = 1;
   struct Bucket {
     std::uint64_t upper = 0;  ///< inclusive upper bound of the bucket
     std::uint64_t count = 0;  ///< samples in this bucket (not cumulative)
@@ -213,6 +220,11 @@ struct HistogramSnapshot {
   double mean() const noexcept {
     return count ? static_cast<double>(sum) / static_cast<double>(count)
                  : 0.0;
+  }
+  /// The sum scaled by the sampling rate: an estimate of the time spent
+  /// in every span, sampled or not. Comparable across stages.
+  double estimated_sum() const noexcept {
+    return static_cast<double>(sum) * sample_every;
   }
   /// Upper bound of the bucket holding quantile `q` in [0,1]; 0 if empty.
   double quantile(double q) const noexcept;

@@ -34,6 +34,8 @@ struct SampleGate {
   }
 
   bool admit() noexcept { return (tick++ & mask) == 0; }
+  /// The N of "1 in N".
+  std::uint32_t every() const noexcept { return mask + 1; }
 
   std::uint32_t mask = 0;
   std::uint32_t tick = 0;
@@ -49,7 +51,9 @@ class SpanTimer {
 
   /// Times this scope only when the gate admits it.
   SpanTimer(Histogram hist, SampleGate& gate) noexcept
-      : hist_{hist}, active_{hist.valid() && gate.admit()} {
+      : hist_{hist},
+        every_{gate.every()},
+        active_{hist.valid() && gate.admit()} {
     if (active_) start_ = std::chrono::steady_clock::now();
   }
 
@@ -66,11 +70,12 @@ class SpanTimer {
     const auto ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count();
-    hist_.observe(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
+    hist_.observe(ns > 0 ? static_cast<std::uint64_t>(ns) : 0, every_);
   }
 
  private:
   Histogram hist_;
+  std::uint32_t every_ = 1;  ///< the gate's rate; 1 when unsampled
   bool active_ = false;
   std::chrono::steady_clock::time_point start_;
 };

@@ -515,7 +515,7 @@ void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
     first_ts_ = ts;
     last_ts_ = ts;
     if (config_.window.total_micros() > 0) {
-      // Align to the window grid exactly like core::LiveAnalyzer.
+      // Align the first window to a clean multiple of the window length.
       const std::int64_t width = config_.window.total_micros();
       window_start_ = util::Timestamp::from_micros(
           ts.micros_since_epoch() / width * width);
@@ -806,9 +806,8 @@ void ShardedAnalyzer::worker_loop(std::size_t index) {
               worker.sniffer.on_export_record(item.record, item.ts);
               break;
             case Item::Kind::kRotate:
-              // Open flows stay live in the flow table across rotations,
-              // exactly like LiveAnalyzer: a flow lands in the window it
-              // completes in.
+              // Open flows stay live in the flow table across rotations:
+              // a flow lands in the window it completes in.
               emit(false, true, true, item.start, item.end);
               break;
             case Item::Kind::kStop:
@@ -866,8 +865,8 @@ void ShardedAnalyzer::merge_loop() {
     }
     pending[msg.seq].push_back(std::move(msg));
     // Merge strictly in sequence order, only once every shard has
-    // reported the sequence number — windows reach the sink in the same
-    // order LiveAnalyzer would deliver them.
+    // reported the sequence number — windows reach the sink in capture
+    // order.
     while (true) {
       const auto it = pending.find(next_seq);
       if (it == pending.end() || it->second.size() < config_.shards) break;
@@ -1052,7 +1051,7 @@ void ShardedAnalyzer::finish() {
                    rotations_, obs::kNoShard, frames_dispatched_);
 
   // The final window's bounds: windowed mode closes the current grid
-  // window (LiveAnalyzer parity); single-window mode spans the stream.
+  // window; single-window mode spans the stream.
   util::Timestamp start;
   util::Timestamp end;
   if (started_) {
@@ -1069,10 +1068,10 @@ void ShardedAnalyzer::finish() {
     item.kind = Item::Kind::kStop;
     item.start = start;
     item.end = end;
-    // An empty run delivers no window, matching LiveAnalyzer; the stop
-    // window still flows through the merge stage to terminate it. A
-    // drained run's flush window is delivered but never journaled: it is
-    // truncated at the drain point, and --resume must recompute it.
+    // An empty run delivers no window; the stop window still flows
+    // through the merge stage to terminate it. A drained run's flush
+    // window is delivered but never journaled: it is truncated at the
+    // drain point, and --resume must recompute it.
     item.deliver = started_;
     item.durable = !draining_;
     push_control(i, std::move(item));

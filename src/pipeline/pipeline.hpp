@@ -48,7 +48,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/live.hpp"
 #include "core/sniffer.hpp"
 #include "flow/flow.hpp"
 #include "flowexport/orient.hpp"
@@ -95,9 +94,10 @@ struct PipelineConfig {
   /// tagging exactly (at N× the memory — see docs/pipeline.md).
   core::SnifferConfig sniffer;
   /// Window rotation length; zero (default) delivers one merged window
-  /// covering the whole stream at finish(). Non-zero mirrors
-  /// core::LiveAnalyzer: boundaries aligned to multiples of the length,
-  /// one merged window delivered per boundary crossed.
+  /// covering the whole stream at finish(). Non-zero rotates the way a
+  /// long-running deployment needs: boundaries aligned to multiples of the
+  /// length, one merged window delivered per boundary crossed (empty ones
+  /// included), with resolver and open-flow state carried across.
   util::Duration window{};
   /// Best-effort CPU pinning (the CLI's --pin-shards): shard worker i is
   /// affined to CPU (i+1) % hw_threads via sched_setaffinity, keeping each

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "core/live.hpp"
+#include "core/sniffer.hpp"
 
 namespace dnh::pipeline {
 

@@ -298,6 +298,9 @@ TEST(ObsTrace, GatedSpanRecordsSampledSubset) {
   obs::SampleGate gate{8};
   for (int i = 0; i < 64; ++i) obs::SpanTimer span{h, gate};
   EXPECT_EQ(h.count(), 8u);
+  // The gate's rate travels with the recorded spans.
+  const obs::Snapshot snap = registry.collect();
+  EXPECT_EQ(snap.histograms.at("gated_ns").sample_every, 8u);
 }
 
 // ---------------------------------------------------------------------
@@ -440,6 +443,42 @@ TEST(ObsExport, HumanSummaryShowsStagesAndCounters) {
   EXPECT_NE(text.find("dnh_stage_decode_ns"), std::string::npos);
   EXPECT_NE(text.find("dnh_frames_total"), std::string::npos);
   EXPECT_NE(text.find("1,234"), std::string::npos);
+}
+
+TEST(ObsExport, HumanSummaryScalesSampledStagesByTheirRate) {
+  // A stage timed 1 in 64 and a fully timed one with the same raw span
+  // sum: the sampled stage stands for 64x the time, so it must get 64/65
+  // of the share, not half of it.
+  obs::Registry registry;
+  obs::Histogram sampled = registry.histogram("dnh_stage_a_sampled_ns");
+  obs::Histogram timed = registry.histogram("dnh_stage_b_timed_ns");
+  for (int i = 0; i < 10; ++i) {
+    sampled.observe(1000, 64);
+    timed.observe(1000);
+  }
+  const obs::Snapshot snap = registry.collect();
+  const auto& a = snap.histograms.at("dnh_stage_a_sampled_ns");
+  const auto& b = snap.histograms.at("dnh_stage_b_timed_ns");
+  EXPECT_EQ(a.sample_every, 64u);
+  EXPECT_EQ(b.sample_every, 1u);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_DOUBLE_EQ(a.estimated_sum(), 640000.0);
+  EXPECT_DOUBLE_EQ(b.estimated_sum(), 10000.0);
+
+  const std::string text = obs::human_summary(snap);
+  const auto row = [&](const std::string& name) {
+    const auto at = text.find(name);
+    EXPECT_NE(at, std::string::npos) << text;
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  const std::string row_a = row("dnh_stage_a_sampled_ns");
+  const std::string row_b = row("dnh_stage_b_timed_ns");
+  EXPECT_NE(row_a.find("1/64"), std::string::npos) << row_a;
+  EXPECT_NE(row_a.find("640.0us"), std::string::npos) << row_a;
+  EXPECT_NE(row_a.find("98.5%"), std::string::npos) << row_a;
+  EXPECT_NE(row_b.find("all"), std::string::npos) << row_b;
+  EXPECT_NE(row_b.find("10.0us"), std::string::npos) << row_b;
+  EXPECT_NE(row_b.find("1.5%"), std::string::npos) << row_b;
 }
 
 TEST(ObsExport, FormatNs) {

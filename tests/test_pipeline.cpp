@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "core/flowdb_io.hpp"
-#include "core/live.hpp"
 #include "core/sniffer.hpp"
+#include "dns/message.hpp"
 #include "faultinject/faultinject.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -328,22 +328,48 @@ TEST_F(PipelineTest, ShardCountIsInvisibleAcrossCounts) {
     analyzer.finish();
     EXPECT_EQ(tsv(merged.db), reference) << "shards=" << shards;
     EXPECT_EQ(merged.dns_log.size(), baseline.dns_log.size());
+    // The CLI's `summary` counters come from PipelineStats::merged at
+    // every --jobs, 1 included; they must match the bare Sniffer's.
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_stats_equal(analyzer.stats().merged, baseline.stats);
   }
 }
 
-TEST_F(PipelineTest, WindowedRotationMatchesLiveAnalyzer) {
-  const util::Duration window = util::Duration::minutes(10);
+/// Independent rotation oracle: one bare Sniffer whose database and DNS
+/// log are taken at every grid boundary the capture clock crosses, with
+/// resolver and open-flow state left in place.
+std::vector<core::AnalysisWindow> rotate_bare_sniffer(
+    const std::vector<pcap::Frame>& frames, util::Duration window) {
+  core::Sniffer sniffer;
+  std::vector<core::AnalysisWindow> out;
+  util::Timestamp start;
+  bool started = false;
+  auto rotate = [&] {
+    const util::Timestamp end = start + window;
+    out.push_back(core::AnalysisWindow{start, end, sniffer.take_database(),
+                                       sniffer.take_dns_log()});
+    start = end;
+  };
+  const std::int64_t width = window.total_micros();
+  for (const auto& frame : frames) {
+    if (!started) {
+      start = util::Timestamp::from_micros(
+          frame.timestamp.micros_since_epoch() / width * width);
+      started = true;
+    }
+    while (frame.timestamp >= start + window) rotate();
+    sniffer.on_frame(frame.data, frame.timestamp);
+  }
+  sniffer.finish();
+  if (started) rotate();
+  for (auto& w : out) pipeline::canonicalize(w);
+  return out;
+}
 
-  core::LiveConfig live_config;
-  live_config.window = window;
-  std::vector<core::AnalysisWindow> live_windows;
-  core::LiveAnalyzer live{live_config, [&](core::AnalysisWindow&& w) {
-                            live_windows.push_back(std::move(w));
-                          }};
-  for (const auto& frame : *frames_)
-    live.on_frame(frame.data, frame.timestamp);
-  live.finish();
-  for (auto& w : live_windows) pipeline::canonicalize(w);
+TEST_F(PipelineTest, WindowedRotationMatchesSnifferRotation) {
+  const util::Duration window = util::Duration::minutes(10);
+  const std::vector<core::AnalysisWindow> expected =
+      rotate_bare_sniffer(*frames_, window);
 
   pipeline::PipelineConfig config;
   config.shards = 3;
@@ -357,17 +383,165 @@ TEST_F(PipelineTest, WindowedRotationMatchesLiveAnalyzer) {
     analyzer.on_frame(frame.data, frame.timestamp);
   analyzer.finish();
 
-  ASSERT_EQ(merged_windows.size(), live_windows.size());
+  ASSERT_EQ(merged_windows.size(), expected.size());
   ASSERT_GE(merged_windows.size(), 4u);  // 40 min / 10 min + final partial
   for (std::size_t i = 0; i < merged_windows.size(); ++i) {
-    EXPECT_EQ(merged_windows[i].start, live_windows[i].start) << "w" << i;
-    EXPECT_EQ(merged_windows[i].end, live_windows[i].end) << "w" << i;
-    EXPECT_EQ(tsv(merged_windows[i].db), tsv(live_windows[i].db))
+    EXPECT_EQ(merged_windows[i].start, expected[i].start) << "w" << i;
+    EXPECT_EQ(merged_windows[i].end, expected[i].end) << "w" << i;
+    EXPECT_EQ(tsv(merged_windows[i].db), tsv(expected[i].db))
         << "window " << i;
-    EXPECT_EQ(merged_windows[i].dns_log.size(), live_windows[i].dns_log.size())
+    EXPECT_EQ(merged_windows[i].dns_log.size(), expected[i].dns_log.size())
         << "window " << i;
   }
   EXPECT_EQ(analyzer.stats().windows_merged, merged_windows.size());
+}
+
+// --------------------------------------------------------- window rotation
+
+/// Window rotation on the one ingest path: a single-shard ShardedAnalyzer
+/// with hourly windows, fed hand-built DNS/TCP exchanges.
+class WindowRotation : public ::testing::Test {
+ protected:
+  const net::Ipv4Address kClient{10, 0, 0, 7};
+  const net::Ipv4Address kResolver{10, 200, 0, 1};
+  const net::Ipv4Address kServer{93, 184, 216, 34};
+
+  static pipeline::PipelineConfig hourly() {
+    pipeline::PipelineConfig config;
+    config.shards = 1;
+    config.window = util::Duration::hours(1);
+    return config;
+  }
+
+  void feed_dns_response(pipeline::ShardedAnalyzer& analyzer,
+                         const std::string& fqdn, std::int64_t t) {
+    const auto msg = dns::make_a_response(
+        1, *dns::DnsName::from_string(fqdn), {kServer}, 300);
+    packet::FrameSpec s;
+    s.src_ip = kResolver;
+    s.dst_ip = kClient;
+    s.src_port = 53;
+    s.dst_port = 33333;
+    analyzer.on_frame(packet::build_udp_frame(s, msg.encode()),
+                      util::Timestamp::from_seconds(t));
+  }
+
+  /// One DNS response + complete flow at second `t`.
+  void feed_exchange(pipeline::ShardedAnalyzer& analyzer, std::int64_t t,
+                     const std::string& fqdn, std::uint16_t cport) {
+    feed_dns_response(analyzer, fqdn, t);
+    packet::FrameSpec s;
+    s.src_ip = kClient;
+    s.dst_ip = kServer;
+    s.src_port = cport;
+    s.dst_port = 80;
+    packet::FrameSpec back = s;
+    std::swap(back.src_ip, back.dst_ip);
+    std::swap(back.src_port, back.dst_port);
+    analyzer.on_frame(
+        packet::build_tcp_frame(s, packet::tcpflags::kSyn, 0, 0, {}),
+        util::Timestamp::from_seconds(t + 1));
+    analyzer.on_frame(
+        packet::build_tcp_frame(
+            s, packet::tcpflags::kFin | packet::tcpflags::kAck, 1, 1, {}),
+        util::Timestamp::from_seconds(t + 2));
+    analyzer.on_frame(
+        packet::build_tcp_frame(
+            back, packet::tcpflags::kFin | packet::tcpflags::kAck, 1, 2, {}),
+        util::Timestamp::from_seconds(t + 3));
+  }
+};
+
+TEST_F(WindowRotation, RotatesWindowsAndPartitionsFlows) {
+  std::vector<core::AnalysisWindow> windows;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        windows.push_back(std::move(window));
+      }};
+  feed_exchange(analyzer, 100, "early.example.com", 50000);
+  feed_exchange(analyzer, 4000, "late.example.com", 50001);  // next hour
+  analyzer.finish();
+
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(analyzer.stats().windows_merged, 2u);
+  ASSERT_EQ(windows[0].db.size(), 1u);
+  EXPECT_EQ(windows[0].db.flows()[0].fqdn, "early.example.com");
+  EXPECT_EQ(windows[0].dns_log.size(), 1u);
+  ASSERT_EQ(windows[1].db.size(), 1u);
+  EXPECT_EQ(windows[1].db.flows()[0].fqdn, "late.example.com");
+  // Window boundaries aligned to the hour.
+  EXPECT_EQ(windows[0].start.seconds_since_epoch() % 3600, 0);
+  EXPECT_EQ(windows[0].end, windows[1].start);
+}
+
+TEST_F(WindowRotation, ResolverStateSurvivesRotation) {
+  std::vector<core::AnalysisWindow> windows;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        windows.push_back(std::move(window));
+      }};
+  // Response in hour 0; the flow it labels opens in hour 1.
+  feed_dns_response(analyzer, "cached.example.com", 3500);
+  packet::FrameSpec s;
+  s.src_ip = kClient;
+  s.dst_ip = kServer;
+  s.src_port = 51000;
+  s.dst_port = 80;
+  analyzer.on_frame(
+      packet::build_tcp_frame(s, packet::tcpflags::kSyn, 0, 0, {}),
+      util::Timestamp::from_seconds(4200));
+  analyzer.finish();
+
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].db.size(), 0u);  // flow still open at rotation
+  ASSERT_EQ(windows[1].db.size(), 1u);
+  EXPECT_EQ(windows[1].db.flows()[0].fqdn, "cached.example.com");
+  EXPECT_TRUE(windows[1].db.flows()[0].tagged_at_start);
+}
+
+TEST_F(WindowRotation, IdleGapsDeliverEmptyWindows) {
+  std::vector<core::AnalysisWindow> windows;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        windows.push_back(std::move(window));
+      }};
+  feed_exchange(analyzer, 100, "a.example.com", 50000);
+  // 3-hour silence, then traffic again.
+  feed_exchange(analyzer, 3 * 3600 + 100, "b.example.com", 50001);
+  analyzer.finish();
+  ASSERT_EQ(windows.size(), 4u);
+  EXPECT_EQ(windows[0].db.size(), 1u);
+  EXPECT_EQ(windows[1].db.size(), 0u);
+  EXPECT_EQ(windows[2].db.size(), 0u);
+  EXPECT_EQ(windows[3].db.size(), 1u);
+}
+
+TEST_F(WindowRotation, RotationMovesWindowsWithoutSinkStillCounts) {
+  // Null sink: rotation must still retire each window so the next one
+  // starts empty, and windows_merged must keep counting.
+  pipeline::ShardedAnalyzer unsinked{hourly(), nullptr};
+  feed_exchange(unsinked, 100, "a.example.com", 50000);
+  feed_exchange(unsinked, 4000, "b.example.com", 50001);
+  unsinked.finish();
+  EXPECT_EQ(unsinked.stats().windows_merged, 2u);
+
+  // With a sink: each delivered window contains exactly its own flows
+  // (rotation really cleared the previous window's state), and the merged
+  // count matches the sink invocations.
+  std::size_t delivered = 0;
+  std::vector<std::size_t> sizes;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        ++delivered;
+        sizes.push_back(window.db.size());
+      }};
+  feed_exchange(analyzer, 100, "a.example.com", 50000);
+  feed_exchange(analyzer, 4000, "b.example.com", 50001);
+  analyzer.finish();
+  EXPECT_EQ(analyzer.stats().windows_merged, delivered);
+  ASSERT_EQ(sizes.size(), 2u);
+  EXPECT_EQ(sizes[0], 1u);
+  EXPECT_EQ(sizes[1], 1u);  // not cumulative: window 0 was moved out
 }
 
 // ----------------------------------------------------------- backpressure

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -79,11 +80,9 @@ class RecoveryTest : public ::testing::Test {
   }
   static void TearDownTestSuite() { fs::remove_all(dir_); }
 
-  /// Runs `dnhunter export` as a direct child (no shell, so the PID is
-  /// the binary's) and SIGKILLs it after `grace_us`. Returns true if the
-  /// kill landed mid-run (the child did not finish first).
-  static bool run_and_kill(const std::vector<std::string>& args,
-                           useconds_t grace_us) {
+  /// Starts `dnhunter` as a direct child (no shell, so the PID is the
+  /// binary's) with its output silenced.
+  static pid_t spawn(const std::vector<std::string>& args) {
     std::vector<const char*> argv;
     argv.push_back(DNHUNTER_BIN);
     for (const auto& arg : args) argv.push_back(arg.c_str());
@@ -96,11 +95,25 @@ class RecoveryTest : public ::testing::Test {
       execv(DNHUNTER_BIN, const_cast<char* const*>(argv.data()));
       _exit(127);
     }
-    ::usleep(grace_us);
+    return pid;
+  }
+
+  /// SIGKILLs and reaps `pid`. Returns true if the kill landed mid-run
+  /// (the child did not finish first).
+  static bool kill_child(pid_t pid) {
     const bool killed = ::kill(pid, SIGKILL) == 0;
     int status = 0;
     ::waitpid(pid, &status, 0);
     return killed && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+  }
+
+  /// Runs `dnhunter export` and SIGKILLs it after `grace_us`. Returns true
+  /// if the kill landed mid-run.
+  static bool run_and_kill(const std::vector<std::string>& args,
+                           useconds_t grace_us) {
+    const pid_t pid = spawn(args);
+    ::usleep(grace_us);
+    return kill_child(pid);
   }
 
   /// kill -9 a spilling run after `grace_us`, then --resume at `jobs`
@@ -180,20 +193,8 @@ TEST_F(RecoveryTest, GracefulDrainThenResumeIsByteIdentical) {
   const std::string spill = (dir_ / "spill_drain").string();
   const std::string out = (dir_ / "drain.tsv").string();
   fs::remove_all(spill);
-  std::vector<std::string> args = {"export",      pcap_, "--out", out,
-                                   "--jobs",      "4",   "--spill-dir",
-                                   spill,         "--window", "300"};
-  std::vector<const char*> argv;
-  argv.push_back(DNHUNTER_BIN);
-  for (const auto& arg : args) argv.push_back(arg.c_str());
-  argv.push_back(nullptr);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    std::freopen("/dev/null", "w", stdout);
-    std::freopen("/dev/null", "w", stderr);
-    execv(DNHUNTER_BIN, const_cast<char* const*>(argv.data()));
-    _exit(127);
-  }
+  const pid_t pid = spawn({"export", pcap_, "--out", out, "--jobs", "4",
+                           "--spill-dir", spill, "--window", "300"});
   ::usleep(40'000);
   ::kill(pid, SIGTERM);
   int status = 0;
@@ -262,15 +263,32 @@ TEST_F(RecoveryTest, KillNineLeavesRecoverableFlightRecorderDump) {
   const std::string spill = (dir_ / "spill_trace_kill").string();
   const std::string out = (dir_ / "trace_kill.tsv").string();
   fs::remove_all(spill);
-  // 150ms grace: past the first 100ms refresh, so the recovered dump
-  // carries window-lifecycle events, not just the startup thread-starts.
-  if (!run_and_kill({"export", pcap_, "--out", out, "--jobs", "4",
-                     "--spill-dir", spill, "--window", "300"},
-                    150'000)) {
+  const std::string dump = spill + "/flight.dnht";
+  const pid_t pid = spawn({"export", pcap_, "--out", out, "--jobs", "4",
+                           "--spill-dir", spill, "--window", "300"});
+  // Kill on an observable event, not after a fixed grace: wait until a
+  // refresh of the dump already carries window-lifecycle events (not just
+  // the startup thread-starts). The deadline only bounds a broken run;
+  // the assertions below then report what the dump lacked.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool child_exited = false;
+  while (std::chrono::steady_clock::now() < deadline) {
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      child_exited = true;
+      break;
+    }
+    if (fs::exists(dump) &&
+        run_cli("trace-cat " + dump).output.find("window-dispatched") !=
+            std::string::npos)
+      break;
+    ::usleep(20'000);
+  }
+  if (child_exited || !kill_child(pid)) {
     GTEST_LOG_(INFO) << "child finished before the kill; skipping";
     return;
   }
-  const std::string dump = spill + "/flight.dnht";
   ASSERT_TRUE(fs::exists(dump))
       << "flight.dnht missing after SIGKILL mid-run";
   const auto rendered = run_cli("trace-cat " + dump);

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/flowdb_io.hpp"
-#include "core/live.hpp"
+#include "core/sniffer.hpp"
 #include "faultinject/faultinject.hpp"
 #include "pipeline/spill.hpp"
 #include "util/crc32.hpp"
