@@ -12,9 +12,6 @@
 //  util::FlatHash under the mixed find/insert/erase pattern packets
 //  drive.
 //
-//  FlowDatabase distinct queries — the satellite rework: sorted interned
-//  vectors vs the node-per-element std::set the helpers used to build.
-//
 // Run:  bench_lookup_micro --benchmark_format=json > BENCH_lookup.json
 #include <benchmark/benchmark.h>
 
@@ -22,14 +19,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/domain_table.hpp"
-#include "core/flowdb.hpp"
 #include "core/resolver.hpp"
 #include "flow/flow.hpp"
 #include "util/flat_hash.hpp"
@@ -254,73 +249,6 @@ void flow_churn_flat_hash(benchmark::State& s) {
 
 BENCHMARK(flow_churn_unordered_map)->Arg(1024)->Arg(16384)->Arg(65536);
 BENCHMARK(flow_churn_flat_hash)->Arg(1024)->Arg(16384)->Arg(65536);
-
-// ---- flowdb distinct queries ------------------------------------------
-
-dnh::core::FlowDatabase make_db(std::size_t n_flows) {
-  dnh::core::FlowDatabase db;
-  dnh::util::Rng rng{31};
-  for (std::size_t i = 0; i < n_flows; ++i) {
-    dnh::core::TaggedFlow flow;
-    flow.key = make_key(rng, 1 << 14);
-    // ~64 distinct labels spread over the flows, several servers each.
-    const std::string fqdn =
-        "cdn" + std::to_string(rng.index(64)) + ".example.com";
-    flow.fqdn = fqdn;
-    db.add(std::move(flow));
-  }
-  return db;
-}
-
-/// The old helper shape: a std::set<std::string> built per call (one node
-/// allocation + string copy per distinct element). Kept here as the
-/// baseline the vector API replaced.
-void flowdb_distinct_fqdns_set(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)));
-  AllocScope allocs{state};
-  for (auto _ : state) {
-    std::set<std::string> out;
-    for (const auto id : db.distinct_fqdns())
-      out.emplace(db.domain_table()->view(id));
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-
-void flowdb_distinct_fqdns_vec(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)));
-  AllocScope allocs{state};
-  for (auto _ : state) {
-    const auto ids = db.distinct_fqdns();
-    benchmark::DoNotOptimize(ids.size());
-  }
-}
-
-void flowdb_fqdns_on_server_set(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)));
-  const auto server = db.flow(0).key.server_ip;
-  AllocScope allocs{state};
-  for (auto _ : state) {
-    std::set<std::string> out;
-    for (const auto id : db.fqdns_on_server(server))
-      out.emplace(db.domain_table()->view(id));
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-
-void flowdb_fqdns_on_server_vec(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)));
-  const auto server = db.flow(0).key.server_ip;
-  AllocScope allocs{state};
-  for (auto _ : state) {
-    const auto ids = db.fqdns_on_server(server);
-    benchmark::DoNotOptimize(ids.size());
-  }
-}
-
-BENCHMARK(flowdb_distinct_fqdns_set)->Arg(1 << 14);
-BENCHMARK(flowdb_distinct_fqdns_vec)->Arg(1 << 14);
-BENCHMARK(flowdb_fqdns_on_server_set)->Arg(1 << 14);
-BENCHMARK(flowdb_fqdns_on_server_vec)->Arg(1 << 14);
 
 }  // namespace
 

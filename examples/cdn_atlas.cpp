@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::printf("%s", analytics::render_domain_tree(tree).c_str());
 
   // Top servers for the busiest FQDN of that organization.
-  const auto& indices = db.by_second_level(sld);
+  const auto indices = db.by_second_level(sld);
   if (!indices.empty()) {
     const std::string fqdn{db.flow(indices.front()).fqdn};
     const auto report = analytics::spatial_discovery(db, orgs, fqdn);

@@ -6,17 +6,17 @@
 namespace dnh::analytics {
 namespace {
 
-ContentReport build_report(const core::FlowDatabase& db,
-                           const std::vector<const std::vector<
-                               core::FlowDatabase::FlowIndex>*>& flow_lists,
-                           std::string provider, std::size_t top_k,
-                           bool fqdn_granularity) {
+ContentReport build_report(
+    const core::FlowDatabase& db,
+    const std::vector<std::span<const core::FlowDatabase::FlowIndex>>&
+        flow_lists,
+    std::string provider, std::size_t top_k, bool fqdn_granularity) {
   ContentReport report;
   report.provider = std::move(provider);
   std::map<std::string, std::uint64_t> counts;
   std::set<std::string> fqdns;
-  for (const auto* list : flow_lists) {
-    for (const auto index : *list) {
+  for (const auto list : flow_lists) {
+    for (const auto index : list) {
       const auto& flow = db.flow(index);
       if (!flow.labeled()) continue;
       ++report.total_flows;
@@ -50,9 +50,9 @@ ContentReport build_report(const core::FlowDatabase& db,
 ContentReport content_discovery(const core::FlowDatabase& db,
                                 const std::set<net::Ipv4Address>& servers,
                                 std::size_t top_k, bool fqdn_granularity) {
-  std::vector<const std::vector<core::FlowDatabase::FlowIndex>*> lists;
+  std::vector<std::span<const core::FlowDatabase::FlowIndex>> lists;
   lists.reserve(servers.size());
-  for (const auto server : servers) lists.push_back(&db.by_server(server));
+  for (const auto server : servers) lists.push_back(db.by_server(server));
   return build_report(db, lists, "custom-set", top_k, fqdn_granularity);
 }
 

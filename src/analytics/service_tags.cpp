@@ -40,7 +40,7 @@ std::vector<ServiceTag> rank(
 
 std::vector<ServiceTag> extract_tags_for_flows(
     const core::FlowDatabase& db,
-    const std::vector<core::FlowDatabase::FlowIndex>& flows,
+    std::span<const core::FlowDatabase::FlowIndex> flows,
     const TagExtractionOptions& options) {
   // token -> clientIP -> N_X(c)
   std::map<std::string, std::unordered_map<std::uint32_t, std::uint64_t>>

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ std::vector<ServiceTag> extract_service_tags(
 /// appspot word cloud, Fig. 10 — tokens of one 2LD's FQDNs).
 std::vector<ServiceTag> extract_tags_for_flows(
     const core::FlowDatabase& db,
-    const std::vector<core::FlowDatabase::FlowIndex>& flows,
+    std::span<const core::FlowDatabase::FlowIndex> flows,
     const TagExtractionOptions& options = {});
 
 }  // namespace dnh::analytics

@@ -11,7 +11,7 @@ namespace {
 
 std::vector<RankedServer> rank_servers(
     const core::FlowDatabase& db, const orgdb::OrgDb& orgs,
-    const std::vector<core::FlowDatabase::FlowIndex>& flows) {
+    std::span<const core::FlowDatabase::FlowIndex> flows) {
   std::map<net::Ipv4Address, std::uint64_t> counts;
   for (const auto index : flows) ++counts[db.flow(index).key.server_ip];
   std::vector<RankedServer> out;

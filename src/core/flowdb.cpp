@@ -6,8 +6,6 @@
 
 namespace dnh::core {
 
-const std::vector<FlowDatabase::FlowIndex> FlowDatabase::kEmpty{};
-
 std::string_view TaggedFlow::second_level() const {
   return dns::second_level_domain(fqdn);
 }
@@ -15,132 +13,150 @@ std::string_view TaggedFlow::second_level() const {
 // dnh-analyze: hot
 FlowDatabase::FlowIndex FlowDatabase::add(TaggedFlow flow) {
   // dnh-lint: hot
+  drop_indexes();
   const FlowIndex index = static_cast<FlowIndex>(flows_.size());
   // Re-intern: after this, the flow's label lives in OUR arena regardless
   // of where the caller staged it (sniffer scratch, TSV line, another
-  // shard's table), and the indexes key on the 32-bit id.
+  // shard's table).
   flow.fqdn_id = table_->intern(flow.fqdn);
   flow.fqdn = table_->view(flow.fqdn_id);
-  if (flow.labeled()) {
-    fqdn_index_[flow.fqdn_id].push_back(index);
-    sld_index_[table_->intern(flow.second_level())].push_back(index);
-  }
-  server_index_[flow.key.server_ip].push_back(index);
-  port_index_[flow.key.server_port].push_back(index);
   flows_.push_back(std::move(flow));
   return index;
 }
 
 std::vector<TaggedFlow> FlowDatabase::take_flows() {
+  drop_indexes();
   std::vector<TaggedFlow> out = std::move(flows_);
   flows_.clear();
-  fqdn_index_.clear();
-  sld_index_.clear();
-  server_index_.clear();
-  port_index_.clear();
   return out;
 }
 
-const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_second_level(
-    std::string_view sld) const {
-  const auto id = table_->find(sld);
-  if (!id) return kEmpty;
-  const auto it = sld_index_.find(*id);
-  return it == sld_index_.end() ? kEmpty : it->second;
+void FlowDatabase::drop_indexes() {
+  // A mutator never races a query, so reading `built` here is safe; a
+  // fresh slot re-arms the once_flag for the next query. A moved-from
+  // database has no slot at all.
+  if (!index_ || index_->built) index_ = std::make_unique<IndexSlot>();
 }
 
-const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_fqdn(
+template <typename Key>
+std::span<const FlowDatabase::FlowIndex> FlowDatabase::Postings<Key>::find(
+    const Key& key) const {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return {};
+  const auto k = static_cast<std::size_t>(it - keys.begin());
+  return {rows.data() + offsets[k], rows.data() + offsets[k + 1]};
+}
+
+const FlowDatabase::Indexes& FlowDatabase::indexes() const {
+  std::call_once(index_->once, [this] { index_->built = build_indexes(); });
+  return *index_->built;
+}
+
+FlowDatabase::Indexes FlowDatabase::build_indexes() const {
+  // Each index starts as (key << 32 | flow) words pushed in flow order. A
+  // stable radix sort on the key half, 16 bits a pass, puts the keys in
+  // ascending order and keeps flows ascending within each key. `key_of`
+  // maps the key half back to the key and must preserve its order.
+  std::vector<std::uint64_t> sorted;
+  std::vector<FlowIndex> bucket(std::size_t{1} << 16);
+  const auto split = [&](std::vector<std::uint64_t>& packed, auto& out,
+                         auto key_of) {
+    sorted.resize(packed.size());
+    for (const int shift : {32, 48}) {
+      const auto digit = [shift](std::uint64_t v) {
+        return static_cast<std::size_t>(v >> shift) & 0xffff;
+      };
+      std::fill(bucket.begin(), bucket.end(), 0);
+      for (const auto v : packed) ++bucket[digit(v)];
+      // One digit value throughout: this pass would not move anything.
+      if (packed.empty() || bucket[digit(packed[0])] == packed.size())
+        continue;
+      FlowIndex next = 0;
+      for (auto& b : bucket) {
+        const FlowIndex n = b;
+        b = next;
+        next += n;
+      }
+      for (const auto v : packed) sorted[bucket[digit(v)]++] = v;
+      packed.swap(sorted);
+    }
+    out.rows.reserve(packed.size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      const auto key = static_cast<std::uint32_t>(packed[i] >> 32);
+      if (i == 0 || key != static_cast<std::uint32_t>(packed[i - 1] >> 32)) {
+        out.keys.push_back(key_of(key));
+        out.offsets.push_back(static_cast<FlowIndex>(i));
+      }
+      out.rows.push_back(static_cast<FlowIndex>(packed[i]));
+    }
+    out.offsets.push_back(static_cast<FlowIndex>(packed.size()));
+  };
+  const auto pack = [](std::uint32_t key, std::size_t flow) {
+    return std::uint64_t{key} << 32 | flow;
+  };
+
+  // One pass over the (large) flow records gathers every key.
+  std::vector<std::uint64_t> servers, ports, fqdns;
+  std::vector<FlowIndex> labeled;
+  servers.reserve(flows_.size());
+  ports.reserve(flows_.size());
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const TaggedFlow& flow = flows_[i];
+    servers.push_back(pack(flow.key.server_ip.value(), i));
+    ports.push_back(pack(flow.key.server_port, i));
+    if (!flow.labeled()) continue;
+    fqdns.push_back(pack(flow.fqdn_id, i));
+    labeled.push_back(static_cast<FlowIndex>(i));
+  }
+  Indexes ix;
+  split(servers, ix.server,
+        [](std::uint32_t v) { return net::Ipv4Address{v}; });
+  split(ports, ix.port,
+        [](std::uint32_t v) { return static_cast<std::uint16_t>(v); });
+  split(fqdns, ix.fqdn, [](std::uint32_t v) { return DomainId{v}; });
+
+  // The SLD of each distinct FQDN, taken once from its first flow's arena
+  // view; the sorted distinct SLDs then rank every labeled flow.
+  std::vector<std::string_view> fqdn_sld(ix.fqdn.keys.size());
+  for (std::size_t k = 0; k < fqdn_sld.size(); ++k)
+    fqdn_sld[k] = flows_[ix.fqdn.rows[ix.fqdn.offsets[k]]].second_level();
+  std::vector<std::string_view> slds = fqdn_sld;
+  std::sort(slds.begin(), slds.end());
+  slds.erase(std::unique(slds.begin(), slds.end()), slds.end());
+  std::vector<std::uint32_t> flow_sld(flows_.size());
+  for (std::size_t k = 0; k < fqdn_sld.size(); ++k) {
+    const auto rank = static_cast<std::uint32_t>(
+        std::lower_bound(slds.begin(), slds.end(), fqdn_sld[k]) -
+        slds.begin());
+    for (auto r = ix.fqdn.offsets[k]; r < ix.fqdn.offsets[k + 1]; ++r)
+      flow_sld[ix.fqdn.rows[r]] = rank;
+  }
+  std::vector<std::uint64_t> ranked;
+  ranked.reserve(labeled.size());
+  for (const auto i : labeled) ranked.push_back(pack(flow_sld[i], i));
+  split(ranked, ix.sld, [&slds](std::uint32_t rank) { return slds[rank]; });
+  return ix;
+}
+
+std::span<const FlowDatabase::FlowIndex> FlowDatabase::by_second_level(
+    std::string_view sld) const {
+  return indexes().sld.find(sld);
+}
+
+std::span<const FlowDatabase::FlowIndex> FlowDatabase::by_fqdn(
     std::string_view fqdn) const {
   const auto id = table_->find(fqdn);
-  if (!id) return kEmpty;
-  const auto it = fqdn_index_.find(*id);
-  return it == fqdn_index_.end() ? kEmpty : it->second;
+  return id ? indexes().fqdn.find(*id) : std::span<const FlowIndex>{};
 }
 
-const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_server(
+std::span<const FlowDatabase::FlowIndex> FlowDatabase::by_server(
     net::Ipv4Address server) const {
-  const auto it = server_index_.find(server);
-  return it == server_index_.end() ? kEmpty : it->second;
+  return indexes().server.find(server);
 }
 
-const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_server_port(
+std::span<const FlowDatabase::FlowIndex> FlowDatabase::by_server_port(
     std::uint16_t port) const {
-  const auto it = port_index_.find(port);
-  return it == port_index_.end() ? kEmpty : it->second;
-}
-
-namespace {
-
-// Collect-sort-unique: one contiguous buffer instead of a red-black node
-// per distinct element, and no per-element string copies for FQDNs.
-template <typename T>
-void sort_unique(std::vector<T>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-}  // namespace
-
-std::vector<net::Ipv4Address> FlowDatabase::servers_for_fqdn(
-    std::string_view fqdn) const {
-  std::vector<net::Ipv4Address> out;
-  const auto& indices = by_fqdn(fqdn);
-  out.reserve(indices.size());
-  for (const auto i : indices) out.push_back(flows_[i].key.server_ip);
-  sort_unique(out);
-  return out;
-}
-
-std::vector<net::Ipv4Address> FlowDatabase::servers_for_second_level(
-    std::string_view sld) const {
-  std::vector<net::Ipv4Address> out;
-  const auto& indices = by_second_level(sld);
-  out.reserve(indices.size());
-  for (const auto i : indices) out.push_back(flows_[i].key.server_ip);
-  sort_unique(out);
-  return out;
-}
-
-std::vector<DomainId> FlowDatabase::fqdns_on_server(
-    net::Ipv4Address server) const {
-  std::vector<DomainId> out;
-  const auto& indices = by_server(server);
-  out.reserve(indices.size());
-  for (const auto i : indices) {
-    if (flows_[i].labeled()) out.push_back(flows_[i].fqdn_id);
-  }
-  sort_unique(out);
-  return out;
-}
-
-std::vector<DomainId> FlowDatabase::distinct_fqdns() const {
-  std::vector<DomainId> out;
-  out.reserve(fqdn_index_.size());
-  for (const auto& [id, _] : fqdn_index_) out.push_back(id);
-  std::sort(out.begin(), out.end());  // index keys are already unique
-  return out;
-}
-
-std::vector<std::string_view> FlowDatabase::fqdn_views(
-    std::span<const DomainId> ids) const {
-  std::vector<std::string_view> out;
-  out.reserve(ids.size());
-  for (const auto id : ids) out.push_back(table_->view(id));
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::pair<std::uint16_t, std::size_t>>
-FlowDatabase::ports_by_flow_count() const {
-  std::vector<std::pair<std::uint16_t, std::size_t>> out;
-  out.reserve(port_index_.size());
-  for (const auto& [port, flows] : port_index_)
-    out.emplace_back(port, flows.size());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  return out;
+  return indexes().port.find(port);
 }
 
 }  // namespace dnh::core

@@ -1,23 +1,23 @@
 // The labeled Flow Database (paper Fig. 1): the sniffer's output store that
 // the off-line analyzer mines. Holds each finished flow with its FQDN tag
-// and protocol class, with secondary indexes matching the analytics
-// algorithms' query patterns (by 2nd-level domain for Alg. 2, by serverIP
-// for Alg. 3, by destination port for Alg. 4).
+// and protocol class. The secondary indexes the analytics algorithms query
+// (by 2nd-level domain for Alg. 2, by serverIP for Alg. 3, by destination
+// port for Alg. 4) are not maintained on add(): they are built once, on the
+// first query, from the flows as they stand then.
 //
 // FQDN storage is interned: every label lives once in the database's
 // DomainTable and flows carry a DomainId plus a string_view into the
 // table's arena. add() re-interns whatever text the caller supplies, so a
-// producer's fqdn view only has to stay valid across the add() call; the
-// indexes hash 32-bit ids instead of full strings.
+// producer's fqdn view only has to stay valid across the add() call.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/domain_table.hpp"
@@ -70,31 +70,32 @@ struct TaggedFlow {
   std::string_view second_level() const;
 };
 
-/// Append-only store with lazily usable secondary indexes. Indexes are
-/// built incrementally on add(); queries return stable flow indices.
+/// Append-only store. add() only interns and appends; the four indexes
+/// are built together on the first by_*() call and dropped by the next
+/// add() or take_flows(). Queries return stable flow indices, ascending.
 class FlowDatabase {
  public:
   using FlowIndex = std::uint32_t;
 
   /// Standalone database with its own private DomainTable.
-  FlowDatabase() : table_{std::make_shared<DomainTable>()} {}
+  FlowDatabase() : FlowDatabase{std::make_shared<DomainTable>()} {}
 
   /// Database sharing a caller-owned table (the Sniffer hands its own so
   /// resolver hits and flow labels intern once, and so window rotation
   /// keeps one arena across databases).
   explicit FlowDatabase(std::shared_ptr<DomainTable> table)
-      : table_{std::move(table)} {}
+      : table_{std::move(table)}, index_{std::make_unique<IndexSlot>()} {}
 
-  /// Adds a flow and indexes it: the flow's fqdn text is interned into
-  /// this database's DomainTable and its view/id rebound to the arena
-  /// copy. Returns the flow's index.
+  /// Adds a flow: its fqdn text is interned into this database's
+  /// DomainTable and its view/id rebound to the arena copy. Returns the
+  /// flow's index.
   FlowIndex add(TaggedFlow flow);
 
-  /// Moves every flow out and resets the database (indexes included).
-  /// The DomainTable is retained — the moved-out flows' fqdn views point
-  /// into it, so re-adding them (the merge stage, canonicalize()) stays
-  /// valid. Used by the parallel pipeline's merge stage to re-add
-  /// per-shard flows in canonical order without copying them.
+  /// Moves every flow out and resets the database. The DomainTable is
+  /// retained — the moved-out flows' fqdn views point into it, so
+  /// re-adding them (the merge stage, canonicalize()) stays valid. Used
+  /// by the parallel pipeline's merge stage to re-add per-shard flows in
+  /// canonical order without copying them.
   std::vector<TaggedFlow> take_flows();
 
   /// The interner backing this database's fqdn views.
@@ -106,62 +107,56 @@ class FlowDatabase {
   const TaggedFlow& flow(FlowIndex i) const { return flows_.at(i); }
   std::size_t size() const noexcept { return flows_.size(); }
 
+  // The by_*() queries may run concurrently with each other (the first
+  // one builds the indexes, the rest wait for it); the spans stay valid
+  // until the next add() or take_flows().
+
   /// Flows whose label's 2nd-level domain is `sld` (Alg. 2 line 5).
-  const std::vector<FlowIndex>& by_second_level(std::string_view sld) const;
+  std::span<const FlowIndex> by_second_level(std::string_view sld) const;
 
   /// Flows labeled exactly `fqdn`.
-  const std::vector<FlowIndex>& by_fqdn(std::string_view fqdn) const;
+  std::span<const FlowIndex> by_fqdn(std::string_view fqdn) const;
 
   /// Flows to a given server address (Alg. 3 line 4).
-  const std::vector<FlowIndex>& by_server(net::Ipv4Address server) const;
+  std::span<const FlowIndex> by_server(net::Ipv4Address server) const;
 
   /// Flows to a given destination (server) port (Alg. 4 line 4).
-  const std::vector<FlowIndex>& by_server_port(std::uint16_t port) const;
-
-  // Distinct-value queries return SORTED deduplicated vectors instead of
-  // the node-per-element std::set they used to build: one contiguous
-  // allocation plus a sort, and FQDNs stay interned 32-bit DomainIds (use
-  // fqdn_views() to materialize text at the presentation boundary).
-
-  /// Distinct server IPs observed serving `fqdn`, ascending.
-  std::vector<net::Ipv4Address> servers_for_fqdn(
-      std::string_view fqdn) const;
-
-  /// Distinct server IPs observed for a whole organization (2LD),
-  /// ascending.
-  std::vector<net::Ipv4Address> servers_for_second_level(
-      std::string_view sld) const;
-
-  /// Distinct FQDNs observed on a server, as interned ids (ascending by
-  /// id — an arbitrary but stable order).
-  std::vector<DomainId> fqdns_on_server(net::Ipv4Address server) const;
-
-  /// All distinct labels in the database, as interned ids (ascending).
-  std::vector<DomainId> distinct_fqdns() const;
-
-  /// Thin string adapter for the id-returning queries: maps each id to
-  /// its arena view (valid for the DomainTable's lifetime), sorted
-  /// lexicographically — the order the old set<string> API surfaced.
-  std::vector<std::string_view> fqdn_views(
-      std::span<const DomainId> ids) const;
-
-  /// Ports seen, most flows first.
-  std::vector<std::pair<std::uint16_t, std::size_t>> ports_by_flow_count()
-      const;
+  std::span<const FlowIndex> by_server_port(std::uint16_t port) const;
 
  private:
+  /// Flat CSR postings: `keys` ascending and distinct; the flows of
+  /// keys[k] are rows[offsets[k] .. offsets[k + 1]), ascending.
+  template <typename Key>
+  struct Postings {
+    std::vector<Key> keys;
+    std::vector<FlowIndex> offsets;
+    std::vector<FlowIndex> rows;
+    std::span<const FlowIndex> find(const Key& key) const;
+  };
+  struct Indexes {
+    Postings<DomainId> fqdn;
+    /// Keyed by views into the flows' arena text: building them never
+    /// writes the (possibly shared) DomainTable.
+    Postings<std::string_view> sld;
+    Postings<net::Ipv4Address> server;
+    Postings<std::uint16_t> port;
+  };
+  /// Heap-held so the once_flag does not pin the database in place.
+  struct IndexSlot {
+    std::once_flag once;
+    std::optional<Indexes> built;
+  };
+
+  /// The indexes, built on first use.
+  const Indexes& indexes() const;
+  /// The one place the indexes are built.
+  Indexes build_indexes() const;
+  /// Forgets built indexes before the flows change.
+  void drop_indexes();
+
   std::shared_ptr<DomainTable> table_;
   std::vector<TaggedFlow> flows_;
-  // dnh-lint: bounded(take_database) the database grows with its window
-  // and is moved out whole on rotation; indexes die with the flows.
-  std::unordered_map<DomainId, std::vector<FlowIndex>> fqdn_index_;
-  // dnh-lint: bounded(take_database)
-  std::unordered_map<DomainId, std::vector<FlowIndex>> sld_index_;
-  // dnh-lint: bounded(take_database)
-  std::unordered_map<net::Ipv4Address, std::vector<FlowIndex>> server_index_;
-  // dnh-lint: bounded(take_database)
-  std::map<std::uint16_t, std::vector<FlowIndex>> port_index_;
-  static const std::vector<FlowIndex> kEmpty;
+  std::unique_ptr<IndexSlot> index_;
 };
 
 }  // namespace dnh::core

@@ -130,12 +130,28 @@ std::vector<TraceEvent> TraceRing::snapshot() const {
   return out;
 }
 
+namespace {
+
+/// Source of FlightRecorder::id_: never reused, unlike an address.
+std::atomic<std::uint64_t> g_next_recorder_id{1};
+
+}  // namespace
+
 FlightRecorder::FlightRecorder(std::size_t ring_capacity)
-    : ring_capacity_{round_up_pow2(ring_capacity)},
+    : id_{g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)},
+      ring_capacity_{round_up_pow2(ring_capacity)},
       epoch_{std::chrono::steady_clock::now()},
       entries_{std::make_unique<std::atomic<RingEntry*>[]>(kMaxRings)} {
   for (std::size_t i = 0; i < kMaxRings; ++i)
     entries_[i].store(nullptr, std::memory_order_relaxed);
+}
+
+FlightRecorder::~FlightRecorder() {
+  // Only private recorders die (global() is leaked); the id-keyed thread
+  // caches never hand these entries out again.
+  const std::size_t n = count_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < n; ++i)
+    delete entries_[i].load(std::memory_order_relaxed);
 }
 
 // dnh-analyze: allow(signal-safety, the lazy `new` runs once at startup
@@ -161,10 +177,11 @@ std::uint64_t FlightRecorder::now_ns() const noexcept {
 
 namespace {
 
-/// Per-thread registration cache. Keyed by recorder so tests can run
-/// private FlightRecorder instances next to the global one.
+/// Per-thread registration cache. Keyed by recorder id, not address, so
+/// tests can run private FlightRecorder instances next to the global one
+/// and a recorder built where a dead one lived never inherits its ring.
 struct RingCache {
-  const FlightRecorder* owner = nullptr;
+  std::uint64_t owner = 0;
   void* entry = nullptr;
 };
 thread_local RingCache t_ring_cache;
@@ -172,21 +189,21 @@ thread_local RingCache t_ring_cache;
 }  // namespace
 
 FlightRecorder::RingEntry* FlightRecorder::entry_for_this_thread() {
-  if (t_ring_cache.owner == this)
+  if (t_ring_cache.owner == id_)
     return static_cast<RingEntry*>(t_ring_cache.entry);
   RingEntry* entry = nullptr;
   {
     util::MutexLock lock{mu_};
     const std::size_t n = count_.load(std::memory_order_relaxed);
     if (n >= kMaxRings) return nullptr;
-    entry = new RingEntry{ring_capacity_};  // leaked with the recorder
+    entry = new RingEntry{ring_capacity_};  // freed with the recorder
     entry->ring_id = static_cast<std::uint32_t>(n);
     // Publish the slot before the count: a lock-free reader that sees
     // count >= n+1 must see a valid pointer in slot n.
     entries_[n].store(entry, std::memory_order_release);
     count_.store(n + 1, std::memory_order_release);
   }
-  t_ring_cache.owner = this;
+  t_ring_cache.owner = id_;
   t_ring_cache.entry = entry;
   return entry;
 }

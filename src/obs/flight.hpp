@@ -198,6 +198,9 @@ class FlightRecorder {
   static constexpr std::size_t kMaxRings = 256;
 
   explicit FlightRecorder(std::size_t ring_capacity = kDefaultRingCapacity);
+  ~FlightRecorder();
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// The process-wide instance (leaked; usable during static teardown).
   static FlightRecorder& global();
@@ -260,6 +263,8 @@ class FlightRecorder {
   /// nullptr when the table is full.
   RingEntry* entry_for_this_thread() DNH_EXCLUDES(mu_);
 
+  /// Process-unique; keys the per-thread ring cache.
+  const std::uint64_t id_;
   const std::size_t ring_capacity_;
   std::atomic<bool> enabled_{true};
   std::chrono::steady_clock::time_point epoch_;
@@ -268,7 +273,7 @@ class FlightRecorder {
   // Append-only: entries_[i] transitions nullptr -> valid exactly once
   // (store-release under mu_), and count_ only grows. Readers that load
   // count_ acquire may walk [0, count_) without the mutex — that is what
-  // keeps raw_rings() signal-safe. Slots are never freed.
+  // keeps raw_rings() signal-safe. Slots are freed only by the destructor.
   std::unique_ptr<std::atomic<RingEntry*>[]> entries_;
   std::atomic<std::size_t> count_{0};
 };

@@ -187,7 +187,7 @@ struct PipelineStats {
 bool canonical_less(const core::TaggedFlow& a, const core::TaggedFlow& b);
 bool canonical_less(const core::DnsEvent& a, const core::DnsEvent& b);
 
-/// Rebuilds `db` with its flows in canonical order (indexes included).
+/// Rebuilds `db` with its flows in canonical order.
 void canonicalize(core::FlowDatabase& db);
 /// Sorts a DNS event log into canonical order.
 void canonicalize(std::vector<core::DnsEvent>& log);

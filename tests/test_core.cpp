@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <thread>
+
 #include "core/flowdb.hpp"
 #include "core/policy.hpp"
 #include "core/sniffer.hpp"
@@ -42,32 +46,62 @@ TEST(FlowDb, IndexesByFqdnSldServerAndPort) {
   EXPECT_EQ(db.by_server(s1).size(), 2u);
   EXPECT_EQ(db.by_server_port(443).size(), 2u);
   EXPECT_EQ(db.by_fqdn("absent.example.com").size(), 0u);
-}
 
-TEST(FlowDb, ServersForDomainQueries) {
-  FlowDatabase db;
-  const Ipv4Address s1{1, 1, 1, 1};
-  const Ipv4Address s2{2, 2, 2, 2};
-  db.add(make_flow("a.zynga.com", s1));
-  db.add(make_flow("a.zynga.com", s2));
-  db.add(make_flow("b.zynga.com", s2));
-  db.add(make_flow("a.zynga.com", s2));  // duplicate (fqdn, server) pair
-  const auto servers = db.servers_for_fqdn("a.zynga.com");
-  ASSERT_EQ(servers.size(), 2u);  // deduplicated
-  EXPECT_EQ(servers[0], s1);      // ascending
-  EXPECT_EQ(servers[1], s2);
-  EXPECT_EQ(db.servers_for_second_level("zynga.com").size(), 2u);
-  const auto on_s2 = db.fqdns_on_server(s2);
-  ASSERT_EQ(on_s2.size(), 2u);
-  EXPECT_LT(on_s2[0], on_s2[1]);  // sorted, distinct ids
-  EXPECT_EQ(db.distinct_fqdns().size(), 2u);
-  // The string adapter surfaces the old set<string> view of the world:
-  // lexicographically sorted arena views.
-  const auto names = db.fqdn_views(db.fqdns_on_server(s2));
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "a.zynga.com");
-  EXPECT_EQ(names[1], "b.zynga.com");
-  EXPECT_TRUE(db.servers_for_fqdn("absent.example.com").empty());
+  // An add after a query is visible to the next query.
+  db.add(make_flow("games.zynga.com", s1, 443));
+  const auto zynga = db.by_second_level("zynga.com");
+  ASSERT_EQ(zynga.size(), 3u);
+  EXPECT_EQ(zynga.back(), 4u);
+  EXPECT_EQ(db.by_fqdn("games.zynga.com").size(), 1u);
+  EXPECT_EQ(db.by_server(s1).size(), 3u);
+  EXPECT_EQ(db.by_server_port(443).size(), 3u);
+
+  // Rows ascend within each key.
+  for (const auto rows :
+       {zynga, db.by_server(s1), db.by_server(s2), db.by_server_port(443)}) {
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  }
+  const std::vector<FlowDatabase::FlowIndex> on_s1(db.by_server(s1).begin(),
+                                                   db.by_server(s1).end());
+  EXPECT_EQ(on_s1, (std::vector<FlowDatabase::FlowIndex>{0, 2, 4}));
+
+  // take_flows leaves every index empty.
+  EXPECT_EQ(db.take_flows().size(), 5u);
+  EXPECT_TRUE(db.by_fqdn("www.zynga.com").empty());
+  EXPECT_TRUE(db.by_second_level("zynga.com").empty());
+  EXPECT_TRUE(db.by_server(s1).empty());
+  EXPECT_TRUE(db.by_server_port(443).empty());
+
+  // Four threads racing the first queries on a fresh database all get
+  // the same spans: the indexes are built once (and TSan stays quiet).
+  FlowDatabase fresh;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const std::string fqdn = "cdn" + std::to_string(i % 37) + ".example.com";
+    fresh.add(make_flow(fqdn, Ipv4Address{i % 11},
+                        static_cast<std::uint16_t>(80 + i % 3)));
+  }
+  using Spans = std::vector<std::span<const FlowDatabase::FlowIndex>>;
+  const auto query = [&fresh] {
+    return Spans{fresh.by_fqdn("cdn5.example.com"),
+                 fresh.by_second_level("example.com"),
+                 fresh.by_server(Ipv4Address{3}), fresh.by_server_port(81)};
+  };
+  std::vector<Spans> seen(4);
+  std::vector<std::thread> threads;
+  for (auto& out : seen)
+    threads.emplace_back([&out, &query] { out = query(); });
+  for (auto& thread : threads) thread.join();
+  for (const auto& spans : seen) {
+    ASSERT_EQ(spans.size(), 4u);
+    for (std::size_t q = 0; q < spans.size(); ++q) {
+      EXPECT_EQ(spans[q].data(), seen[0][q].data());
+      EXPECT_EQ(spans[q].size(), seen[0][q].size());
+    }
+  }
+  EXPECT_EQ(seen[0][0].size(), 54u);    // i % 37 == 5
+  EXPECT_EQ(seen[0][1].size(), 2000u);  // every flow
+  EXPECT_EQ(seen[0][2].size(), 182u);   // i % 11 == 3
+  EXPECT_EQ(seen[0][3].size(), 667u);   // i % 3 == 1
 }
 
 TEST(FlowDb, SecondLevelAccessor) {
@@ -75,23 +109,10 @@ TEST(FlowDb, SecondLevelAccessor) {
   EXPECT_EQ(flow.second_level(), "google.com");
 }
 
-TEST(FlowDb, PortsByFlowCountOrdered) {
-  FlowDatabase db;
-  const Ipv4Address s{9, 9, 9, 9};
-  db.add(make_flow("a.x.com", s, 80));
-  db.add(make_flow("b.x.com", s, 80));
-  db.add(make_flow("c.x.com", s, 443));
-  const auto ports = db.ports_by_flow_count();
-  ASSERT_EQ(ports.size(), 2u);
-  EXPECT_EQ(ports[0].first, 80);
-  EXPECT_EQ(ports[0].second, 2u);
-}
-
 TEST(FlowDb, UnlabeledFlowsNotInNameIndexes) {
   FlowDatabase db;
   db.add(make_flow("", Ipv4Address{1, 1, 1, 1}));
   EXPECT_EQ(db.by_second_level("").size(), 0u);
-  EXPECT_TRUE(db.distinct_fqdns().empty());
 }
 
 // --------------------------------------------------------------- Policy

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -601,6 +602,25 @@ TEST(ObsFlight, DisabledRecorderDropsEventsButKeepsDumps) {
   ASSERT_EQ(threads.size(), 1u);
   EXPECT_EQ(threads[0].total, 1u);
   EXPECT_EQ(threads[0].events[0].kind, obs::TraceKind::kThreadStart);
+}
+
+TEST(ObsFlight, RecorderAtADeadRecordersAddressGetsItsOwnRing) {
+  // Two recorders built one after the other in the same stack slot: the
+  // second must register its own ring, not reuse the thread's cached
+  // ring of the first.
+  alignas(obs::FlightRecorder) unsigned char slot[sizeof(obs::FlightRecorder)];
+  auto* first = new (slot) obs::FlightRecorder{64};
+  first->record(obs::TraceStage::kCli, obs::TraceKind::kThreadStart);
+  ASSERT_EQ(first->snapshot().size(), 1u);
+  first->~FlightRecorder();
+  auto* second = new (slot) obs::FlightRecorder{64};
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  second->record(obs::TraceStage::kCli, obs::TraceKind::kSourceOpen);
+  const auto threads = second->snapshot();
+  second->~FlightRecorder();
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_EQ(threads[0].total, 1u);
+  EXPECT_EQ(threads[0].events[0].kind, obs::TraceKind::kSourceOpen);
 }
 
 TEST(ObsFlight, ConcurrentWritersSnapshotAndExcerptRaceFree) {
