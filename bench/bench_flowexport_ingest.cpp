@@ -96,11 +96,11 @@ ExportPathRun run_export_path(const std::string& stream,
   pipeline::PipelineConfig config;
   config.sniffer.dns_only = true;
   ExportPathRun run;
-  core::FlowDatabase merged;
+  std::vector<core::AnalysisWindow> windows;
   const auto t0 = std::chrono::steady_clock::now();
   pipeline::ShardedAnalyzer analyzer{
       config, [&](core::AnalysisWindow&& window) {
-        for (auto& flow : window.db.take_flows()) merged.add(std::move(flow));
+        windows.push_back(std::move(window));
       }};
   pipeline::ExportStreamSource source{stream, pcap};
   if (!source.run(analyzer)) {
@@ -108,6 +108,7 @@ ExportPathRun run_export_path(const std::string& stream,
     std::exit(1);
   }
   analyzer.finish();
+  const core::FlowDatabase merged = pipeline::merge(std::move(windows)).db;
   const auto t1 = std::chrono::steady_clock::now();
   run.seconds = std::chrono::duration<double>(t1 - t0).count();
   run.rps = static_cast<double>(source.decoder_stats().records()) /

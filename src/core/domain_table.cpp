@@ -82,11 +82,4 @@ void DomainTable::grow_slots() {
   }
 }
 
-std::vector<DomainId> DomainTable::absorb(const DomainTable& other) {
-  std::vector<DomainId> remap(other.views_.size(), kEmptyDomainId);
-  for (std::size_t id = 1; id < other.views_.size(); ++id)
-    remap[id] = intern(other.views_[id]);
-  return remap;
-}
-
 }  // namespace dnh::core

@@ -26,7 +26,8 @@
 // usual rule — windows move between threads through a mutex-guarded
 // inbox, which provides the happens-before edge, and only one thread
 // touches a table at a time. The merge stage unifies shard-local ids by
-// re-interning into the output window's table (see absorb()).
+// re-interning every row into the output window's table (see
+// pipeline::merge).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ namespace dnh::core {
 
 /// Dense handle for one interned domain name. Stable for the lifetime of
 /// the DomainTable that minted it; meaningless across tables (the merge
-/// stage remaps — see DomainTable::absorb).
+/// stage re-interns — see pipeline::merge).
 using DomainId = std::uint32_t;
 
 /// Id of the empty string in every table: the "no label" value.
@@ -71,11 +72,6 @@ class DomainTable {
   /// Bytes reserved by the arena chunks (the dnh_domain_table_bytes
   /// gauge; excludes the id-vector and hash-slot overhead).
   std::size_t arena_bytes() const noexcept { return arena_bytes_; }
-
-  /// Interns every string of `other` into this table and returns the
-  /// remap vector: `remap[old_id]` is the equivalent id here. Used by the
-  /// deterministic merge to unify shard-local id spaces.
-  std::vector<DomainId> absorb(const DomainTable& other);
 
  private:
   static constexpr std::size_t kChunkBytes = 64 * 1024;

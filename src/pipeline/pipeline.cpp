@@ -180,6 +180,74 @@ void canonicalize(std::vector<core::DnsEvent>& log) {
             [](const auto& a, const auto& b) { return canonical_less(a, b); });
 }
 
+namespace {
+
+/// Hands every element of the canonically sorted `runs` to `emit`, moved
+/// out, in canonical order. Index-heap pattern: the heap holds run
+/// indices keyed by each run's current head; an index is popped, its head
+/// consumed and the index re-pushed, so a key only changes while its index
+/// is out of the heap. Equal keys under canonical_less are value-identical
+/// rows, so pop order among ties cannot change a single output byte —
+/// which is why merging sorted runs reproduces the global canonical sort
+/// exactly. Only merge() calls this: it owns the id remap.
+// dnh-analyze: merge-boundary
+template <typename Row, typename Emit>
+void kway_merge(std::vector<std::vector<Row>>& runs, Emit emit) {
+  std::vector<std::size_t> pos(runs.size(), 0);
+  const auto greater = [&](std::size_t x, std::size_t y) {
+    return canonical_less(runs[y][pos[y]], runs[x][pos[x]]);
+  };
+  std::priority_queue<std::size_t, std::vector<std::size_t>,
+                      decltype(greater)>
+      heap{greater};
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    if (!runs[i].empty()) heap.push(i);
+  while (!heap.empty()) {
+    const std::size_t i = heap.top();
+    heap.pop();
+    emit(std::move(runs[i][pos[i]]));
+    if (++pos[i] < runs[i].size()) heap.push(i);
+  }
+}
+
+}  // namespace
+
+// dnh-analyze: id-remap(every flow and event is re-interned into the
+// output window's fresh table as the k-way merge emits it)
+core::AnalysisWindow merge(std::vector<core::AnalysisWindow> parts) {
+  core::AnalysisWindow out;
+  if (parts.empty()) return out;
+  out.start = parts.front().start;
+  out.end = parts.front().end;
+  std::vector<std::vector<core::TaggedFlow>> flows;
+  std::vector<std::vector<core::DnsEvent>> events;
+  flows.reserve(parts.size());
+  events.reserve(parts.size());
+  std::size_t event_total = 0;
+  for (auto& part : parts) {
+    out.start = std::min(out.start, part.start);
+    out.end = std::max(out.end, part.end);
+    // The moved-out rows' fqdn views stay valid: each part's db keeps its
+    // DomainTable, and `parts` outlives the merge.
+    flows.push_back(part.db.take_flows());
+    event_total += part.dns_log.size();
+    events.push_back(std::move(part.dns_log));
+  }
+  out.dns_log.reserve(event_total);
+
+  // A part's DomainIds are meaningless in the output: add() re-interns
+  // each flow's label into out's table, and each event is rebound here.
+  kway_merge(flows,
+             [&out](core::TaggedFlow&& flow) { out.db.add(std::move(flow)); });
+  core::DomainTable& table = *out.db.domain_table();
+  kway_merge(events, [&out, &table](core::DnsEvent&& event) {
+    event.fqdn_id = table.intern(event.fqdn);
+    event.fqdn = table.view(event.fqdn_id);
+    out.dns_log.push_back(std::move(event));
+  });
+  return out;
+}
+
 // One message on a shard's frame ring. Control items (rotate/stop) ride
 // the same channel as frames, so a shard processes every frame dispatched
 // before a window boundary before it rotates — ordering for free.
@@ -510,22 +578,7 @@ void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
                      frames_dispatched_);
     return;
   }
-  if (!started_) {
-    started_ = true;
-    first_ts_ = ts;
-    last_ts_ = ts;
-    if (config_.window.total_micros() > 0) {
-      // Align the first window to a clean multiple of the window length.
-      const std::int64_t width = config_.window.total_micros();
-      window_start_ = util::Timestamp::from_micros(
-          ts.micros_since_epoch() / width * width);
-    }
-  }
-  if (ts > last_ts_) last_ts_ = ts;
-  if (config_.window.total_micros() > 0) {
-    while (ts >= window_start_ + config_.window)
-      broadcast_rotation(window_start_, window_start_ + config_.window);
-  }
+  advance_clock(ts);
   ++frames_dispatched_;
   pipeline_metrics().frames_dispatched.inc();
   if ((frames_dispatched_ & 4095) == 0)
@@ -541,21 +594,7 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   // window boundaries are monotone); the record's own timestamps pass
   // through untouched, and they alone decide flow boundaries and labels.
   if (started_ && arrival < last_ts_) arrival = last_ts_;
-  if (!started_) {
-    started_ = true;
-    first_ts_ = arrival;
-    last_ts_ = arrival;
-    if (config_.window.total_micros() > 0) {
-      const std::int64_t width = config_.window.total_micros();
-      window_start_ = util::Timestamp::from_micros(
-          arrival.micros_since_epoch() / width * width);
-    }
-  }
-  if (arrival > last_ts_) last_ts_ = arrival;
-  if (config_.window.total_micros() > 0) {
-    while (arrival >= window_start_ + config_.window)
-      broadcast_rotation(window_start_, window_start_ + config_.window);
-  }
+  advance_clock(arrival);
   ++records_dispatched_;
   pipeline_metrics().records_dispatched.inc();
 
@@ -575,6 +614,24 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
                 splitmix64(item.record.key.client_ip.value()) %
                 static_cast<std::uint64_t>(config_.shards));
   push_control(shard, std::move(item));
+}
+
+void ShardedAnalyzer::advance_clock(util::Timestamp ts) {
+  const std::int64_t width = config_.window.total_micros();
+  if (!started_) {
+    started_ = true;
+    first_ts_ = ts;
+    last_ts_ = ts;
+    // Align the first window to a clean multiple of the window length.
+    if (width > 0)
+      window_start_ = util::Timestamp::from_micros(
+          ts.micros_since_epoch() / width * width);
+  }
+  if (ts > last_ts_) last_ts_ = ts;
+  if (width > 0) {
+    while (ts >= window_start_ + config_.window)
+      broadcast_rotation(window_start_, window_start_ + config_.window);
+  }
 }
 
 void ShardedAnalyzer::dispatch_frame(net::BytesView frame,
@@ -702,11 +759,7 @@ bool ShardedAnalyzer::process_pcap(const std::string& path) {
       options, report);
   // Container-level damage is observed by the dispatcher (it owns the
   // reader), not by any shard; folded into merged degradation at finish.
-  capture_degradation_.capture_resyncs += report.corruption.resyncs;
-  capture_degradation_.capture_bytes_skipped +=
-      report.corruption.bytes_skipped;
-  capture_degradation_.capture_truncated_tails +=
-      report.corruption.truncated_tail;
+  note_capture_corruption(report.corruption);
   if (!report.error.empty()) error_ = std::move(report.error);
   return ok;
 }
@@ -903,116 +956,6 @@ void ShardedAnalyzer::merge_loop() {
   }
 }
 
-namespace {
-
-/// K-way merges canonically pre-sorted windows into `out`. Inputs must
-/// already carry event fqdn ids/views valid against out's table (the
-/// callers remap via intern or absorb first). Equal keys under
-/// canonical_less are value-identical rows, so pop order among ties
-/// cannot change a single output byte — which is why a k-way merge of
-/// per-shard-sorted runs reproduces the global canonical sort exactly.
-// dnh-analyze: merge-boundary
-void kway_merge_into(std::vector<core::AnalysisWindow>& parts,
-                     core::AnalysisWindow& out) {
-  std::vector<std::vector<core::TaggedFlow>> flows(parts.size());
-  std::size_t event_total = 0;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    // The moved-out flows' fqdn views stay valid: each part's db retains
-    // its DomainTable, and `parts` outlives the merge.
-    flows[i] = parts[i].db.take_flows();
-    event_total += parts[i].dns_log.size();
-  }
-  out.dns_log.reserve(event_total);
-
-  // Index-heap pattern: the heap holds part indices, keyed by each
-  // part's current head. An index is popped, its head consumed, and the
-  // index re-pushed — the key only changes while the index is out.
-  std::vector<std::size_t> pos(parts.size(), 0);
-  const auto flow_greater = [&](std::size_t x, std::size_t y) {
-    return canonical_less(flows[y][pos[y]], flows[x][pos[x]]);
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(flow_greater)>
-      flow_heap{flow_greater};
-  for (std::size_t i = 0; i < parts.size(); ++i)
-    if (!flows[i].empty()) flow_heap.push(i);
-  while (!flow_heap.empty()) {
-    const std::size_t i = flow_heap.top();
-    flow_heap.pop();
-    out.db.add(std::move(flows[i][pos[i]]));
-    if (++pos[i] < flows[i].size()) flow_heap.push(i);
-  }
-
-  std::vector<std::size_t> event_pos(parts.size(), 0);
-  const auto event_greater = [&](std::size_t x, std::size_t y) {
-    return canonical_less(parts[y].dns_log[event_pos[y]],
-                          parts[x].dns_log[event_pos[x]]);
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(event_greater)>
-      event_heap{event_greater};
-  for (std::size_t i = 0; i < parts.size(); ++i)
-    if (!parts[i].dns_log.empty()) event_heap.push(i);
-  while (!event_heap.empty()) {
-    const std::size_t i = event_heap.top();
-    event_heap.pop();
-    out.dns_log.push_back(std::move(parts[i].dns_log[event_pos[i]]));
-    if (++event_pos[i] < parts[i].dns_log.size()) event_heap.push(i);
-  }
-}
-
-}  // namespace
-
-// dnh-analyze: id-remap(per-event intern into the unified table below;
-// flows are re-interned by out.db.add inside the k-way merge)
-core::AnalysisWindow ShardedAnalyzer::merge_windows(
-    std::vector<ShardWindow>& parts) {
-  core::AnalysisWindow out;
-  out.start = parts.front().window.start;
-  out.end = parts.front().window.end;
-
-  // Shard-local DomainIds are meaningless in the merged window: re-intern
-  // every DNS event's label into the output database's table (flows are
-  // re-interned by out.db.add inside the k-way merge). Per-event intern,
-  // not absorb: the shard tables accumulate names across the whole run,
-  // and a window must only pay for the names it actually references.
-  core::DomainTable& unified = *out.db.domain_table();
-  std::vector<core::AnalysisWindow> windows;
-  windows.reserve(parts.size());
-  for (auto& part : parts) {
-    for (auto& event : part.window.dns_log) {
-      event.fqdn_id = unified.intern(event.fqdn);
-      event.fqdn = unified.view(event.fqdn_id);
-    }
-    windows.push_back(std::move(part.window));
-  }
-  kway_merge_into(windows, out);
-  return out;
-}
-
-core::AnalysisWindow ShardedAnalyzer::merge_recovered(
-    std::vector<core::AnalysisWindow>& parts) {
-  core::AnalysisWindow out;
-  out.start = parts.front().start;
-  out.end = parts.front().end;
-
-  // Windows loaded from spill each carry a private table holding exactly
-  // the window's names, so absorb() — one bulk re-intern returning the
-  // id remap — is the right tool here, where it was not above.
-  core::DomainTable& unified = *out.db.domain_table();
-  for (auto& part : parts) {
-    const std::vector<core::DomainId> remap =
-        unified.absorb(*part.db.domain_table());
-    for (auto& event : part.dns_log) {
-      event.fqdn_id = event.fqdn_id < remap.size() ? remap[event.fqdn_id]
-                                                   : core::kEmptyDomainId;
-      event.fqdn = unified.view(event.fqdn_id);
-    }
-  }
-  kway_merge_into(parts, out);
-  return out;
-}
-
 core::AnalysisWindow ShardedAnalyzer::retire_window(
     std::uint64_t seq, std::vector<ShardWindow>& parts) {
   if (config_.resume && seq < resume_prefix_) {
@@ -1037,11 +980,14 @@ core::AnalysisWindow ShardedAnalyzer::retire_window(
       obs::trace_event(obs::TraceStage::kMerge,
                        obs::TraceKind::kWindowRecovered, seq, obs::kNoShard,
                        loaded.size());
-      return merge_recovered(loaded);
+      return merge(std::move(loaded));
     }
     ++windows_recomputed_;
   }
-  return merge_windows(parts);
+  std::vector<core::AnalysisWindow> windows;
+  windows.reserve(parts.size());
+  for (auto& part : parts) windows.push_back(std::move(part.window));
+  return merge(std::move(windows));
 }
 
 void ShardedAnalyzer::finish() {

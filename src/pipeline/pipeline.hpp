@@ -13,11 +13,13 @@
 // first packet chose, so both directions of a connection stay together
 // even when per-packet orientation is ambiguous (ephemeral-to-ephemeral
 // port pairs). Each worker canonically sorts the windows it seals, so the
-// merge stage is an incremental k-way merge: a window is retired (merged
-// and handed to the sink) as soon as every shard has sealed it, through a
-// BOUNDED inbox — merge-stage memory scales with the window horizon, not
-// the capture length. The merged FlowDatabase and DNS log are
-// byte-identical to what the single-threaded Sniffer would have produced.
+// merge stage is an incremental k-way merge (pipeline::merge, the one
+// routine that combines windows — recomputed, spill-recovered or already
+// merged): a window is retired (merged and handed to the sink) as soon as
+// every shard has sealed it, through a BOUNDED inbox — merge-stage memory
+// scales with the window horizon, not the capture length. The merged
+// FlowDatabase and DNS log are byte-identical to what the single-threaded
+// Sniffer would have produced.
 //
 // Durability (docs/recovery.md): with a spill directory configured, every
 // sealed per-shard window is CRC-framed into that shard's spill segment
@@ -196,6 +198,16 @@ inline void canonicalize(core::AnalysisWindow& window) {
   canonicalize(window.dns_log);
 }
 
+/// Combines canonically ordered windows into one canonically ordered
+/// window: a k-way merge of their flow runs and of their DNS-event runs,
+/// never a re-sort. Parts may be a shard's sealed slices of one window,
+/// windows recovered from spill or consecutive merged windows; each part's
+/// labels may live in any DomainTable (the part keeps it alive), and every
+/// flow and event is re-interned once into the result's own fresh table.
+/// The result spans the earliest part start to the latest part end; no
+/// parts yields an empty window.
+core::AnalysisWindow merge(std::vector<core::AnalysisWindow> parts);
+
 /// The multi-threaded streaming engine. Feed frames from ONE thread (the
 /// caller becomes the dispatcher stage); windows arrive on the merge
 /// thread via the sink; finish() flushes, joins, and freezes stats().
@@ -279,7 +291,7 @@ class ShardedAnalyzer {
   //    ring produce sides, and every `Dispatcher-owned` member below.
   //  - worker thread i: worker_loop(i), shard i's ring consume side, and
   //    Worker::sniffer/frames_processed until finish() joins it.
-  //  - merge thread: merge_loop/merge_windows and the merge-owned
+  //  - merge thread: merge_loop/retire_window and the merge-owned
   //    members; hands windows to the sink strictly in order.
   // Cross-thread state is either a lock-free channel (SpscRing), a
   // mutex-guarded inbox (MergeInbox, annotated), or atomics
@@ -291,15 +303,15 @@ class ShardedAnalyzer {
   void flush_stage(std::size_t shard);
   void push_control(std::size_t shard, Item&& item);
   void broadcast_rotation(util::Timestamp start, util::Timestamp end);
+  /// The dispatch clock: starts the stream on its first timestamp (grid-
+  /// aligning the first window), tracks the latest timestamp and
+  /// broadcasts every window boundary `ts` crosses.
+  void advance_clock(util::Timestamp ts);
   void worker_loop(std::size_t index);
   void merge_loop();
-  /// K-way merge of canonically pre-sorted per-shard windows.
-  core::AnalysisWindow merge_windows(std::vector<ShardWindow>& parts);
-  /// Merge of windows recovered from spill (DomainTable::absorb remap).
-  core::AnalysisWindow merge_recovered(
-      std::vector<core::AnalysisWindow>& parts);
   /// Retires sequence `seq`: on resume, prefers the spilled bytes for the
-  /// recovered prefix; otherwise merges the recomputed parts.
+  /// recovered prefix; otherwise merges the recomputed parts. Either way
+  /// through pipeline::merge.
   core::AnalysisWindow retire_window(std::uint64_t seq,
                                      std::vector<ShardWindow>& parts);
 

@@ -257,6 +257,31 @@ TEST_F(CliTest, JobsShardedRunIsBitIdenticalToSingleThread) {
   EXPECT_EQ(summary1.output, summary4.output);
 }
 
+TEST_F(CliTest, WindowedExportIsBitIdenticalAcrossJobs) {
+  // --window delivers several windows over the 40-minute capture, and the
+  // CLI merges them into one canonical database: the same bytes at every
+  // shard count, and the same bytes as one whole-capture window. At 60 s
+  // some flows complete in a later window than flows that start after
+  // them, so concatenating the windows instead of merging them fails.
+  const std::string whole = (dir_ / "win_whole.tsv").string();
+  ASSERT_EQ(run_cli("export " + pcap_ + " --out " + whole).exit_code, 0);
+  const std::string expected = slurp(whole);
+  ASSERT_FALSE(expected.empty());
+  for (const char* window : {"300", "60"}) {
+    SCOPED_TRACE(std::string{"--window "} + window);
+    for (const char* jobs : {"1", "4"}) {
+      const std::string tsv =
+          (dir_ / ("win" + std::string{window} + "_jobs" + jobs + ".tsv"))
+              .string();
+      ASSERT_EQ(run_cli("export " + pcap_ + " --window " + window +
+                        " --jobs " + jobs + " --out " + tsv)
+                    .exit_code,
+                0);
+      EXPECT_EQ(slurp(tsv), expected) << "--jobs " << jobs;
+    }
+  }
+}
+
 TEST_F(CliTest, JobsRejectsBadShardCounts) {
   EXPECT_EQ(run_cli("summary " + pcap_ + " --jobs 0").exit_code, 2);
   EXPECT_EQ(run_cli("summary " + pcap_ + " --jobs -3").exit_code, 2);

@@ -1,6 +1,7 @@
 // DomainTable (FQDN interner) tests: id stability across growth, view
-// stability across chunk allocation, absorb() remapping for the merge
-// stage, sharded-vs-single TSV determinism through re-interning, and the
+// stability across chunk allocation, sharded-vs-single TSV determinism
+// through re-interning (the merge's id remap is covered by the
+// pipeline::merge tests in test_pipeline.cpp), and the
 // zero-allocation contract of the decode+insert hot path.
 #include <gtest/gtest.h>
 
@@ -138,40 +139,6 @@ TEST(DomainTable, OversizedStringsGetDedicatedChunks) {
     table.intern("pad" + std::to_string(i) + ".example");
   EXPECT_EQ(table.view(id).data(), where);
   EXPECT_EQ(table.view(id), big);
-}
-
-// ---- absorb: merge-stage id remapping ---------------------------------------
-
-TEST(DomainTable, AbsorbRemapsOverlappingTables) {
-  DomainTable shard_a, shard_b, unified;
-  util::Rng rng{23};
-  std::vector<std::string> common, only_a, only_b;
-  for (int i = 0; i < 50; ++i) common.push_back(random_fqdn(rng));
-  for (int i = 0; i < 30; ++i) only_a.push_back(random_fqdn(rng) + ".a");
-  for (int i = 0; i < 30; ++i) only_b.push_back(random_fqdn(rng) + ".b");
-
-  for (const auto& s : only_a) shard_a.intern(s);
-  for (const auto& s : common) shard_a.intern(s);
-  for (const auto& s : common) shard_b.intern(s);  // different id order
-  for (const auto& s : only_b) shard_b.intern(s);
-
-  const auto remap_a = unified.absorb(shard_a);
-  const auto remap_b = unified.absorb(shard_b);
-  ASSERT_EQ(remap_a.size(), shard_a.size());
-  ASSERT_EQ(remap_b.size(), shard_b.size());
-  EXPECT_EQ(remap_a[kEmptyDomainId], kEmptyDomainId);
-  EXPECT_EQ(remap_b[kEmptyDomainId], kEmptyDomainId);
-
-  for (DomainId id = 0; id < shard_a.size(); ++id)
-    EXPECT_EQ(unified.view(remap_a[id]), shard_a.view(id));
-  for (DomainId id = 0; id < shard_b.size(); ++id)
-    EXPECT_EQ(unified.view(remap_b[id]), shard_b.view(id));
-
-  // Shared strings collapse to one unified id regardless of source shard.
-  for (const auto& s : common)
-    EXPECT_EQ(remap_a[*shard_a.find(s)], remap_b[*shard_b.find(s)]);
-  EXPECT_EQ(unified.size(),
-            1 + common.size() + only_a.size() + only_b.size());
 }
 
 // ---- sharded vs single-threaded TSV determinism -----------------------------

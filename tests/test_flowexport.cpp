@@ -538,11 +538,10 @@ RunResult run_export_path(const std::string& stream, const std::string& pcap,
   config.shards = jobs;
   config.sniffer.dns_only = true;
   RunResult result;
+  std::vector<core::AnalysisWindow> windows;
   pipeline::ShardedAnalyzer analyzer{
       config, [&](core::AnalysisWindow&& window) {
-        // add() re-interns each flow's fqdn view into result.db's table.
-        for (auto& flow : window.db.take_flows())
-          result.db.add(std::move(flow));
+        windows.push_back(std::move(window));
       }};
   pipeline::ExportStreamSource source{stream, pcap};
   const bool ran = source.run(analyzer);
@@ -553,7 +552,7 @@ RunResult run_export_path(const std::string& stream, const std::string& pcap,
     EXPECT_TRUE(ran) << source.error();
   if (decoder_stats) *decoder_stats = source.decoder_stats();
   result.stats = analyzer.stats().merged;
-  pipeline::canonicalize(result.db);
+  result.db = pipeline::merge(std::move(windows)).db;
   return result;
 }
 
@@ -662,15 +661,14 @@ TEST_F(FlowExportDifferentialTest, RotatedCaptureDirMatchesSingleFile) {
   const auto run = [&](auto&& source) {
     pipeline::PipelineConfig config;
     config.shards = 2;
-    core::FlowDatabase db;
+    std::vector<core::AnalysisWindow> windows;
     pipeline::ShardedAnalyzer analyzer{
         config, [&](core::AnalysisWindow&& w) {
-          for (auto& flow : w.db.take_flows()) db.add(std::move(flow));
+          windows.push_back(std::move(w));
         }};
     EXPECT_TRUE(source.run(analyzer)) << source.error();
     analyzer.finish();
-    pipeline::canonicalize(db);
-    return tsv(db);
+    return tsv(pipeline::merge(std::move(windows)).db);
   };
   pipeline::CaptureDirSource dir_source{rotated.string()};
   pipeline::PcapFileSource file_source{*pcap_path_};

@@ -30,6 +30,7 @@
 #include "pipeline/spsc_ring.hpp"
 #include "trafficgen/profiles.hpp"
 #include "trafficgen/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace dnh {
 namespace {
@@ -702,6 +703,121 @@ TEST(Canonicalize, SortsFlowsAndRebuildsIndexes) {
   ASSERT_EQ(db.by_fqdn("b.example.com").size(), 1u);
   EXPECT_EQ(db.by_fqdn("b.example.com")[0], 1u);
   EXPECT_EQ(db.by_server_port(443).size(), 2u);
+}
+
+// ------------------------------------------------------------------ merge
+
+/// Event rows with owned text, comparable after the parts' tables die.
+std::vector<std::string> event_rows(const std::vector<core::DnsEvent>& log) {
+  std::vector<std::string> rows;
+  for (const auto& e : log) {
+    std::string row = std::to_string(e.time.micros_since_epoch()) + " " +
+                      std::to_string(e.client.value()) + " " +
+                      std::string{e.fqdn};
+    for (const auto server : e.servers)
+      row += " " + std::to_string(server.value());
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(Merge, MatchesCanonicalizedConcatenationAcrossPrivateTables) {
+  util::Rng rng{1414};
+  std::vector<std::string> names;
+  for (int i = 0; i < 40; ++i)
+    names.push_back("host" + std::to_string(i) + ".example" +
+                    std::to_string(i % 7) + ".com");
+  for (std::size_t k = 1; k <= 8; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    // Each part owns a private table, as a window loaded from spill does;
+    // a different pre-interned prefix per part makes the same name carry
+    // a different id in every part.
+    std::vector<core::AnalysisWindow> parts(k);
+    core::FlowDatabase concat_db;
+    std::vector<core::DnsEvent> concat_log;
+    std::map<std::string, std::set<std::size_t>> parts_of_name;
+    for (std::size_t p = 0; p < k; ++p) {
+      core::AnalysisWindow& part = parts[p];
+      part.start = util::Timestamp::from_seconds(100 + rng.index(10));
+      part.end = part.start + util::Duration::seconds(rng.index(100));
+      core::DomainTable& table = *part.db.domain_table();
+      for (std::size_t i = 0; i < p; ++i)
+        table.intern(names[names.size() - 1 - i]);
+      // Every third part is empty (k = 1 included: a lone empty part).
+      const std::size_t rows = p % 3 == 2 ? 0 : 1 + rng.index(60);
+      for (std::size_t i = 0; i < rows; ++i) {
+        core::TaggedFlow flow;
+        // Few distinct start times and clients: plenty of ties that only
+        // later fields of the canonical order break.
+        flow.first_packet = util::Timestamp::from_seconds(rng.index(8));
+        flow.last_packet = flow.first_packet + util::Duration::seconds(1);
+        flow.key.client_ip = net::Ipv4Address(0x0a000000 + rng.index(4));
+        flow.key.server_ip = net::Ipv4Address(0x08080800 + rng.index(4));
+        flow.key.client_port = static_cast<std::uint16_t>(rng.index(3));
+        flow.key.server_port = 443;
+        flow.bytes_c2s = rng.index(3);
+        if (!rng.chance(0.2)) {
+          flow.fqdn = names[rng.index(names.size())];
+          parts_of_name[std::string{flow.fqdn}].insert(p);
+        }
+        concat_db.add(flow);
+        part.db.add(std::move(flow));
+
+        core::DnsEvent event;
+        event.time = util::Timestamp::from_seconds(rng.index(8));
+        event.client = net::Ipv4Address(0x0a000000 + rng.index(4));
+        event.fqdn_id = table.intern(names[rng.index(names.size())]);
+        event.fqdn = table.view(event.fqdn_id);
+        parts_of_name[std::string{event.fqdn}].insert(p);
+        for (std::size_t s = rng.index(3); s > 0; --s)
+          event.servers.push_back(
+              net::Ipv4Address(0x08080800 + rng.index(4)));
+        concat_log.push_back(event);
+        part.dns_log.push_back(std::move(event));
+      }
+      pipeline::canonicalize(part);
+    }
+    pipeline::canonicalize(concat_db);
+    pipeline::canonicalize(concat_log);
+    const std::vector<std::string> expected_events = event_rows(concat_log);
+    util::Timestamp start = parts.front().start;
+    util::Timestamp end = parts.front().end;
+    for (const auto& part : parts) {
+      start = std::min(start, part.start);
+      end = std::max(end, part.end);
+    }
+
+    const core::AnalysisWindow out = pipeline::merge(std::move(parts));
+    std::ostringstream expected_tsv, merged_tsv;
+    core::write_flow_tsv(concat_db, expected_tsv);
+    core::write_flow_tsv(out.db, merged_tsv);
+    EXPECT_EQ(merged_tsv.str(), expected_tsv.str());
+    EXPECT_EQ(event_rows(out.dns_log), expected_events);
+    EXPECT_EQ(out.start, start);
+    EXPECT_EQ(out.end, end);
+
+    // Every label is the output table's own view of its id, and each
+    // name has exactly one id however many parts carried it.
+    const core::DomainTable& table = *out.db.domain_table();
+    std::map<std::string_view, core::DomainId> id_of;
+    const auto check = [&](std::string_view fqdn, core::DomainId id) {
+      EXPECT_EQ(fqdn.data(), table.view(id).data());
+      EXPECT_EQ(fqdn, table.view(id));
+      EXPECT_EQ(id_of.emplace(fqdn, id).first->second, id) << fqdn;
+    };
+    for (const auto& flow : out.db.flows()) check(flow.fqdn, flow.fqdn_id);
+    for (const auto& event : out.dns_log) check(event.fqdn, event.fqdn_id);
+    // The fresh table holds only the names the rows reference.
+    id_of.erase(std::string_view{});
+    EXPECT_EQ(table.size(), id_of.size() + 1);
+    if (k >= 2) {
+      const bool shared = std::any_of(
+          parts_of_name.begin(), parts_of_name.end(),
+          [](const auto& entry) { return entry.second.size() >= 2; });
+      EXPECT_TRUE(shared) << "no name spans two parts: the id check is moot";
+    }
+  }
+  EXPECT_TRUE(pipeline::merge({}).db.flows().empty());
 }
 
 // ------------------------------------------------- lifecycle supervision

@@ -20,10 +20,11 @@
 //                  escape hatches carry `// dnh-analyze: allow(alloc,
 //                  <why>)`.
 //   id-provenance  Shard-local DomainIds may only flow into
-//                  merge/spill/emit code through a DomainTable::absorb()
-//                  remap site. Producers are tagged `shard-local-ids`,
-//                  sinks `merge-boundary`, and sanctioned remap sites
-//                  either call absorb() or carry `id-remap(<why>)`.
+//                  merge/spill/emit code through an id remap site.
+//                  Producers are tagged `shard-local-ids`, sinks
+//                  `merge-boundary`, and sanctioned remap sites either
+//                  carry `id-remap(<why>)` (pipeline::merge) or call
+//                  absorb().
 //   lock-order     util::MutexLock acquisition order is extracted per
 //                  function, the held-set is propagated through the call
 //                  graph, and any cycle in the resulting lock-order graph

@@ -149,7 +149,7 @@ int run(const Options& opt) {
         "`signal-safe` roots\n"
         "no-alloc        no allocation reachable from `hot` roots\n"
         "id-provenance   shard-local DomainIds cross `merge-boundary` only "
-        "via DomainTable::absorb()\n"
+        "via an id remap\n"
         "lock-order      no cycles in the held-set-propagated lock-order "
         "graph\n"
         "tag-syntax      every `dnh-analyze:` tag is well-formed and "

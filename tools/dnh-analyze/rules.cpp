@@ -362,7 +362,7 @@ void rule_provenance(const Program& p, const Graph& g,
                      std::vector<Finding>& findings, RuleStats& stats) {
   // carrier(F): F's data contains shard-local DomainIds — F is a tagged
   // producer, or F calls a carrier and is not itself a sanctioned remap
-  // point (calls DomainTable::absorb, or tagged id-remap / allow).
+  // point (tagged id-remap / allow, or calls an absorb() remap).
   auto sanitized = [&](const FunctionInfo& fn) {
     if (fn.tag_id_remap || fn.fn_allows.count("provenance") != 0) return true;
     for (const CallSite& c : fn.calls)
@@ -427,7 +427,7 @@ void rule_provenance(const Program& p, const Graph& g,
         add_finding(findings, "id-provenance", fn.file, c.line,
                     fn.qname + ": shard-local DomainIds reach merge boundary " +
                         sink.qname +
-                        " without a DomainTable::absorb() remap",
+                        " without an id remap",
                     witness(id));
       }
     }
@@ -436,7 +436,7 @@ void rule_provenance(const Program& p, const Graph& g,
     if (fn.tag_merge_boundary) {
       add_finding(findings, "id-provenance", fn.file, fn.line,
                   fn.qname + ": merge-boundary function obtains shard-local "
-                            "DomainIds without a DomainTable::absorb() remap",
+                            "DomainIds without an id remap",
                   witness(id));
     }
   }

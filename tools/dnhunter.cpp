@@ -392,11 +392,6 @@ Capture sniff(const Args& args) {
   pipeline::install_drain_signal_handlers();
   config.drain_check = [] { return pipeline::drain_requested(); };
 
-  // Windows arrive in order on the merge thread; accumulate them into
-  // the one Capture the analytics commands consume (whole-capture mode
-  // delivers exactly one). Flow fqdn views are re-interned by add();
-  // event views are remapped into the capture's own table here, so
-  // nothing dangles when the window's private table dies.
   // Crash forensics ride along with durability: keep DIR/flight.dnht
   // current from the moment the spill directory exists — a fatal-signal
   // hook dumps the rings from the handler, and the periodic writer
@@ -414,16 +409,13 @@ Capture sniff(const Args& args) {
         util::Duration::millis(100));
     trace_dump->start();
   }
-  core::DomainTable& unified = *capture.db.domain_table();
+  // Windows arrive in order on the merge thread (whole-capture mode
+  // delivers exactly one); after finish() they merge into the one Capture
+  // the analytics commands consume.
+  std::vector<core::AnalysisWindow> windows;
   pipeline::ShardedAnalyzer analyzer{
-      config, [&capture, &unified](core::AnalysisWindow&& window) {
-        for (auto& flow : window.db.take_flows())
-          capture.db.add(std::move(flow));
-        for (auto& event : window.dns_log) {
-          event.fqdn_id = unified.intern(event.fqdn);
-          event.fqdn = unified.view(event.fqdn_id);
-          capture.events.push_back(std::move(event));
-        }
+      config, [&windows](core::AnalysisWindow&& window) {
+        windows.push_back(std::move(window));
       }};
   // Pick the flow source: an export datagram stream (with the capture
   // as its DNS side), a directory of rotated captures, or one file.
@@ -497,11 +489,11 @@ Capture sniff(const Args& args) {
                  "drain: ingestion stopped by signal; results cover the "
                  "frames processed before the drain\n");
   capture.stats_data = pstats.merged;
-  // Each merged window arrives canonical; sorting the accumulated capture
-  // keeps it canonical as a whole when --window delivers several, so
-  // `--jobs N` output is bit-identical to `--jobs 1` for every command.
-  pipeline::canonicalize(capture.db);
-  pipeline::canonicalize(capture.events);
+  // Each window arrives canonical, and so does their merge: `--jobs N`
+  // output is bit-identical to `--jobs 1` for every command and --window.
+  core::AnalysisWindow all = pipeline::merge(std::move(windows));
+  capture.db = std::move(all.db);
+  capture.events = std::move(all.dns_log);
   warn_on_corruption(capture.degradation());
   g_ingest_end = std::chrono::steady_clock::now();
   return capture;
