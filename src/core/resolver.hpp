@@ -1,9 +1,11 @@
 // The DN-Hunter DNS Resolver (paper Sec. 3.1.1, Algorithm 1).
 //
 // A replica of the clients' DNS caches built purely from sniffed responses:
-//  - FQDN entries live in a fixed-size circular FIFO (the "Clist" of size
-//    L), which bounds memory and implicitly ages entries out — L must be
-//    dimensioned against the monitored hosts' cache lifetime (Sec. 6).
+//  - FQDN entries live in a circular FIFO (the "Clist" of size L), which
+//    bounds memory and implicitly ages entries out — L must be dimensioned
+//    against the monitored hosts' cache lifetime (Sec. 6). Slots are
+//    allocated as responses arrive, so a resolver that has seen n < L
+//    responses holds n slots, not L.
 //  - A (clientIP, serverIP) -> entry index implements lookup. The paper's
 //    primary design is two nested ordered maps (O(log Nc + log Ns(c)));
 //    footnote 2 notes hash tables as the alternative. Both live on as
@@ -208,11 +210,11 @@ class BasicDnsResolver {
                             std::shared_ptr<DomainTable> table = nullptr)
       : table_{table ? std::move(table)
                      : std::make_shared<DomainTable>()},
-        clist_(clist_size > 0 ? clist_size : 1) {
+        capacity_{clist_size > 0 ? clist_size : 1} {
     // Warm the index for small/medium Clists so steady state does not
     // rehash; capped because live keys track traffic, not L, and a
     // default L of 2^20 per shard must not pre-commit megabytes.
-    index_.reserve(std::min(clist_.size(), std::size_t{1} << 12));
+    index_.reserve(std::min(capacity_, std::size_t{1} << 12));
   }
 
   /// INSERT(DNSresponse) with a pre-interned name: the zero-allocation
@@ -225,7 +227,10 @@ class BasicDnsResolver {
     ++stats_.inserts;
 
     // Recycle the next Clist slot (Alg. 1 lines 22-25): drop the old
-    // entry's keys from the index before reusing the slot.
+    // entry's keys from the index before reusing the slot. Until the
+    // first wrap the next slot does not exist yet: the Clist grows one
+    // slot per insert up to L, so memory tracks the responses seen.
+    if (next_ == clist_.size()) clist_.emplace_back();
     Entry& slot = clist_[next_];
     if (slot.in_use) {
       ++stats_.evictions;
@@ -235,7 +240,7 @@ class BasicDnsResolver {
     // Increment-and-wrap: the modulo on every insert was a measurable
     // per-response cost (integer division) for a counter that only ever
     // advances by one.
-    if (++next_ == clist_.size()) next_ = 0;
+    if (++next_ == capacity_) next_ = 0;
 
     slot.in_use = true;
     slot.generation += 1;
@@ -350,7 +355,8 @@ class BasicDnsResolver {
   }
 
   const ResolverStats& stats() const noexcept { return stats_; }
-  std::size_t capacity() const noexcept { return clist_.size(); }
+  /// The Clist size L (not the slots grown so far).
+  std::size_t capacity() const noexcept { return capacity_; }
 
   /// Number of clients currently present in the index.
   std::size_t client_count() const noexcept {
@@ -396,7 +402,11 @@ class BasicDnsResolver {
   }
 
   std::shared_ptr<DomainTable> table_;
+  /// The circular FIFO of L = capacity_ slots. It grows by one slot per
+  /// insert until it holds L, then wraps and recycles: no slot is
+  /// allocated before a response needs it.
   std::vector<Entry> clist_;
+  std::size_t capacity_;
   std::size_t next_ = 0;
   PairIndex index_;
   mutable ResolverStats stats_;

@@ -102,9 +102,17 @@ struct OrientedKey {
   bool client_to_server = true;
 };
 
-/// Orientation rules, in priority order: pure SYN marks the sender as the
-/// client; otherwise the lower port number is taken as the server side
-/// (ports below 1024 always win); ties fall back to address ordering.
+/// The client-side rule, in priority order: a pure SYN marks the sender as
+/// the client and a SYN/ACK marks it as the server; otherwise the lower
+/// port number is taken as the server side (ports below 1024 always win);
+/// ties fall back to address ordering. `tcp_flags` is the TCP flags byte
+/// (0 for UDP). True when the packet's source is the client. Both orient()
+/// and the pipeline dispatcher decide by this one function.
+bool source_is_client(std::uint8_t tcp_flags, net::Ipv4Address src,
+                      std::uint16_t src_port, net::Ipv4Address dst,
+                      std::uint16_t dst_port) noexcept;
+
+/// Orients a decoded IPv4 packet by source_is_client.
 OrientedKey orient(const packet::DecodedPacket& pkt);
 
 }  // namespace dnh::flow

@@ -109,4 +109,59 @@ std::optional<DecodedPacket> decode_frame(net::BytesView frame,
   return pkt;
 }
 
+namespace {
+
+std::uint16_t load_u16(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | p[3];
+}
+
+}  // namespace
+
+std::optional<HeaderPeek> peek_ipv4_l4(net::BytesView frame) noexcept {
+  const std::uint8_t* p = frame.data();
+  const std::size_t size = frame.size();
+  if (size < 14) return std::nullopt;
+  std::uint16_t ether_type = load_u16(p + 12);
+  std::size_t off = 14;
+  for (int vlan_tags = 0;
+       (ether_type == 0x8100 || ether_type == 0x88a8) && vlan_tags < 4;
+       ++vlan_tags) {
+    if (size < off + 4) return std::nullopt;
+    ether_type = load_u16(p + off + 2);
+    off += 4;
+  }
+  if (ether_type != kEtherTypeIpv4) return std::nullopt;
+
+  if (size < off + 20 || (p[off] >> 4) != 4) return std::nullopt;
+  const std::size_t ip_header_len = (p[off] & 0x0fu) * 4u;
+  if (ip_header_len < 20 || size < off + ip_header_len ||
+      load_u16(p + off + 2) < ip_header_len)
+    return std::nullopt;
+  HeaderPeek out;
+  out.protocol = p[off + 9];
+  out.src = net::Ipv4Address{load_u32(p + off + 12)};
+  out.dst = net::Ipv4Address{load_u32(p + off + 16)};
+  off += ip_header_len;
+
+  if (out.protocol == kProtoTcp) {
+    if (size < off + 20) return std::nullopt;
+    const std::size_t tcp_header_len = (p[off + 12] >> 4) * 4u;
+    if (tcp_header_len < 20 || size < off + tcp_header_len)
+      return std::nullopt;
+    out.tcp_flags = p[off + 13];
+  } else if (out.protocol == kProtoUdp) {
+    if (size < off + 8 || load_u16(p + off + 4) < 8) return std::nullopt;
+  } else {
+    return std::nullopt;
+  }
+  out.src_port = load_u16(p + off);
+  out.dst_port = load_u16(p + off + 2);
+  return out;
+}
+
 }  // namespace dnh::packet

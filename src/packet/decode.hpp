@@ -70,4 +70,24 @@ std::optional<DecodedPacket> decode_frame(net::BytesView frame,
                                           util::Timestamp ts,
                                           DecodeFailure& failure);
 
+/// The routing fields of an IPv4 TCP/UDP frame, read by peek_ipv4_l4.
+struct HeaderPeek {
+  net::Ipv4Address src;
+  net::Ipv4Address dst;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  std::uint8_t protocol = 0;   ///< kProtoTcp or kProtoUdp
+  std::uint8_t tcp_flags = 0;  ///< wire flags byte; 0 for UDP
+
+  bool is_tcp() const noexcept { return protocol == kProtoTcp; }
+};
+
+/// Reads addresses, ports, transport and TCP flags at fixed offsets,
+/// without building a DecodedPacket: the dispatcher's per-frame path.
+/// Accepts exactly the frames decode_frame decodes as IPv4 carrying TCP or
+/// UDP (same VLAN-tag limit, same IHL/total-length, TCP data-offset and
+/// UDP-length checks, every header byte bounds-checked) and returns
+/// nullopt for everything else.
+std::optional<HeaderPeek> peek_ipv4_l4(net::BytesView frame) noexcept;
+
 }  // namespace dnh::packet

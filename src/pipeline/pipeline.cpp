@@ -474,47 +474,44 @@ ShardedAnalyzer::~ShardedAnalyzer() { finish(); }
 
 namespace {
 
+// The shard that owns `client`: its DNS responses, its flows and its
+// flow-export records all reduce to this one value.
+std::size_t shard_of(net::Ipv4Address client, std::size_t shards) {
+  return static_cast<std::size_t>(splitmix64(client.value()) %
+                                  static_cast<std::uint64_t>(shards));
+}
+
 // The client side is the dispatch key. For DNS traffic the client is
 // whoever is NOT on port 53 (responses must land on the same shard as
 // the flows they will label); for everything else the flow-orientation
-// rules decide.
-net::Ipv4Address dispatch_client(const packet::DecodedPacket& pkt) {
-  if (pkt.is_udp() && pkt.udp().src_port == dns::kDnsPort) return pkt.dst_v4();
-  if (pkt.is_udp() && pkt.udp().dst_port == dns::kDnsPort) return pkt.src_v4();
-  if (pkt.is_tcp() && pkt.tcp().src_port == dns::kDnsPort) return pkt.dst_v4();
-  if (pkt.is_tcp() && pkt.tcp().dst_port == dns::kDnsPort) return pkt.src_v4();
-  return flow::orient(pkt).key.client_ip;
-}
-
-std::size_t shard_for_packet(const packet::DecodedPacket& pkt,
-                             std::size_t shards) {
-  return static_cast<std::size_t>(
-      splitmix64(dispatch_client(pkt).value()) %
-      static_cast<std::uint64_t>(shards));
+// rule decides.
+std::size_t client_shard(const packet::HeaderPeek& hdr, std::size_t shards) {
+  if (hdr.src_port == dns::kDnsPort) return shard_of(hdr.dst, shards);
+  if (hdr.dst_port == dns::kDnsPort) return shard_of(hdr.src, shards);
+  return shard_of(flow::source_is_client(hdr.tcp_flags, hdr.src,
+                                         hdr.src_port, hdr.dst, hdr.dst_port)
+                      ? hdr.src
+                      : hdr.dst,
+                  shards);
 }
 
 // Direction-free connection identity: both directions of a 5-tuple map to
 // the same key, with the lexicographically smaller (ip, port) endpoint in
 // the client slots. Purely an index into the routing table — it says
 // nothing about which side is the real client.
-flow::FlowKey route_key(const packet::DecodedPacket& pkt) {
+flow::FlowKey route_key(const packet::HeaderPeek& hdr) {
   flow::FlowKey key;
-  key.transport =
-      pkt.is_tcp() ? flow::Transport::kTcp : flow::Transport::kUdp;
-  const net::Ipv4Address src = pkt.src_v4();
-  const net::Ipv4Address dst = pkt.dst_v4();
-  const std::uint16_t sport = pkt.src_port();
-  const std::uint16_t dport = pkt.dst_port();
-  if (std::tie(src, sport) <= std::tie(dst, dport)) {
-    key.client_ip = src;
-    key.client_port = sport;
-    key.server_ip = dst;
-    key.server_port = dport;
+  key.transport = hdr.is_tcp() ? flow::Transport::kTcp : flow::Transport::kUdp;
+  if (std::tie(hdr.src, hdr.src_port) <= std::tie(hdr.dst, hdr.dst_port)) {
+    key.client_ip = hdr.src;
+    key.client_port = hdr.src_port;
+    key.server_ip = hdr.dst;
+    key.server_port = hdr.dst_port;
   } else {
-    key.client_ip = dst;
-    key.client_port = dport;
-    key.server_ip = src;
-    key.server_port = sport;
+    key.client_ip = hdr.dst;
+    key.client_port = hdr.dst_port;
+    key.server_ip = hdr.src;
+    key.server_port = hdr.src_port;
   }
   return key;
 }
@@ -524,19 +521,15 @@ flow::FlowKey route_key(const packet::DecodedPacket& pkt) {
 std::size_t ShardedAnalyzer::shard_for(net::BytesView frame,
                                        std::size_t shards) {
   if (shards <= 1) return 0;
-  packet::DecodeFailure failure = packet::DecodeFailure::kNone;
-  const auto pkt = packet::decode_frame(frame, util::Timestamp{}, failure);
-  if (!pkt || !pkt->is_ipv4()) return 0;
-  return shard_for_packet(*pkt, shards);
+  const auto hdr = packet::peek_ipv4_l4(frame);
+  return hdr ? client_shard(*hdr, shards) : 0;
 }
 
 std::size_t ShardedAnalyzer::route_frame(net::BytesView frame,
                                          util::Timestamp ts) {
   if (config_.shards <= 1) return 0;
-  packet::DecodeFailure failure = packet::DecodeFailure::kNone;
-  const auto pkt = packet::decode_frame(frame, util::Timestamp{}, failure);
-  if (!pkt || !pkt->is_ipv4()) return 0;
-  if (!pkt->is_tcp() && !pkt->is_udp()) return 0;
+  const auto hdr = packet::peek_ipv4_l4(frame);
+  if (!hdr) return 0;
 
   // Connection affinity: the first packet of a 5-tuple picks the shard by
   // the stateless heuristic; every later packet — in either direction —
@@ -547,22 +540,18 @@ std::size_t ShardedAnalyzer::route_frame(net::BytesView frame,
   const util::Duration idle = config_.sniffer.table.idle_timeout;
   if (++routed_packets_ % config_.sniffer.table.sweep_interval_packets ==
       0) {
-    for (auto it = routes_.begin(); it != routes_.end();) {
-      if (ts - it->second.last > idle)
-        it = routes_.erase(it);
-      else
-        ++it;
-    }
+    routes_.erase_if([&](const auto& entry) {
+      return ts - entry.second.last > idle;
+    });
   }
-  const flow::FlowKey key = route_key(*pkt);
-  const auto it = routes_.find(key);
-  if (it != routes_.end() && !(ts - it->second.last > idle)) {
-    if (ts > it->second.last) it->second.last = ts;
-    return it->second.shard;
+  auto [it, inserted] = routes_.try_emplace(route_key(*hdr));
+  Route& route = it->second;
+  if (!inserted && !(ts - route.last > idle)) {
+    if (ts > route.last) route.last = ts;
+    return route.shard;
   }
-  const std::size_t shard = shard_for_packet(*pkt, config_.shards);
-  routes_[key] = Route{shard, ts};
-  return shard;
+  route = Route{client_shard(*hdr, config_.shards), ts};
+  return route.shard;
 }
 
 void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
@@ -603,16 +592,13 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   item.ts = arrival;
   item.record = orienter_.orient(record);
   // Route by the oriented client: the shard whose resolver replica holds
-  // this client's DNS history — the same reduction dispatch_client feeds
-  // for DNS frames, so records and the responses that label them always
-  // meet on one shard. Records are per-flow (not per-packet), so the
-  // lossless control-item push is cheap enough.
+  // this client's DNS history, so records and the responses that label
+  // them always meet on one shard. Records are per-flow (not per-packet),
+  // so the lossless control-item push is cheap enough.
   const std::size_t shard =
       config_.shards <= 1
           ? 0
-          : static_cast<std::size_t>(
-                splitmix64(item.record.key.client_ip.value()) %
-                static_cast<std::uint64_t>(config_.shards));
+          : shard_of(item.record.key.client_ip, config_.shards);
   push_control(shard, std::move(item));
 }
 

@@ -47,7 +47,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/sniffer.hpp"
@@ -60,6 +59,7 @@
 #include "obs/trace.hpp"
 #include "pipeline/spill.hpp"
 #include "pipeline/supervisor.hpp"
+#include "util/flat_hash.hpp"
 #include "util/time.hpp"
 
 namespace dnh::pcap {
@@ -93,7 +93,9 @@ struct PipelineConfig {
   /// Applied to every shard's private Sniffer. Each shard gets the FULL
   /// clist_size: entries are keyed by client and clients never share
   /// entries, so private full-size Clists reproduce single-threaded
-  /// tagging exactly (at N× the memory — see docs/pipeline.md).
+  /// tagging exactly. A Clist allocates a slot per response its shard
+  /// sees, so N shards together hold one slot per response until their
+  /// Clists wrap (at most N × L after that).
   core::SnifferConfig sniffer;
   /// Window rotation length; zero (default) delivers one merged window
   /// covering the whole stream at finish(). Non-zero rotates the way a
@@ -265,9 +267,12 @@ class ShardedAnalyzer {
 
   /// The stateless dispatch heuristic, exposed for tests and dimensioning
   /// studies: which shard (0..shards-1) a frame would route to on first
-  /// sight. Pure: client address extracted by the flow-orientation rules
-  /// (DNS frames key on the client side of the response), hashed, reduced
-  /// mod `shards`. Undecodable and non-IPv4 frames route to shard 0.
+  /// sight. Pure: the frame's headers are peeked at fixed offsets
+  /// (packet::peek_ipv4_l4, no full decode), the client address is picked
+  /// by flow::source_is_client (DNS frames key on the side not on port
+  /// 53), hashed, and reduced mod `shards`. Frames the peek rejects —
+  /// everything decode_frame would not decode as IPv4 TCP/UDP — route to
+  /// shard 0.
   ///
   /// The live dispatcher wraps this in a connection-affinity table
   /// (route_frame): the first packet of a 5-tuple pins its shard, and
@@ -328,17 +333,19 @@ class ShardedAnalyzer {
   };
   std::vector<DispatchCounters> dispatch_;
   // Connection-affinity routing table: direction-free 5-tuple -> pinned
-  // shard. Entries expire on the flow table's idle timeout (checked
-  // against the arriving packet, so expiry mirrors the table's
-  // arrival-driven flow split) and are swept on its cadence to bound
-  // memory. Dispatcher-thread-only; no synchronisation.
+  // shard, on the same flat open-addressing table as the flow table (one
+  // try_emplace per routed frame). Entries expire on the flow table's
+  // idle timeout (checked against the arriving packet, so expiry mirrors
+  // the table's arrival-driven flow split) and are swept with erase_if on
+  // its cadence to bound memory. Dispatcher-thread-only; no
+  // synchronisation.
   struct Route {
     std::size_t shard = 0;
     util::Timestamp last;
   };
   // dnh-lint: bounded(sweep_interval_packets) idle entries expire against
   // the arriving packet and are swept on the flow table's cadence.
-  std::unordered_map<flow::FlowKey, Route> routes_;
+  util::FlatHash<flow::FlowKey, Route> routes_;
   /// Record orientation state (flow-export ingest). Dispatcher-thread-only.
   flowexport::RecordOrienter orienter_;
   std::uint64_t routed_packets_ = 0;

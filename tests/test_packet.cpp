@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "header_peek_corpus.hpp"
 #include "net/checksum.hpp"
 #include "packet/build.hpp"
 #include "packet/decode.hpp"
@@ -278,6 +279,44 @@ TEST(Decode, RejectsTruncatedVlanTag) {
   tagged.push_back(0x00);
   tagged.push_back(0x00);  // tag cut short
   EXPECT_FALSE(decode_frame(tagged, {}));
+}
+
+}  // namespace
+}  // namespace dnh::packet
+
+namespace dnh::packet {
+namespace {
+
+// The dispatcher routes from peek_ipv4_l4, the worker from decode_frame;
+// a frame the two disagree on would be routed by one reading and tagged by
+// another. Over the seeded corpus (trace, corruptions, built variants,
+// every truncation), the peek must accept exactly the frames decode_frame
+// decodes as IPv4 TCP/UDP and read the same routing fields from them.
+TEST(HeaderPeek, AgreesWithDecodeFrameOnEveryFrame) {
+  const auto corpus = testcorpus::header_peek_corpus(20121114);
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const net::Bytes& frame = corpus[i];
+    const auto pkt = decode_frame(frame, {});
+    const bool decodes_ipv4_l4 =
+        pkt && pkt->is_ipv4() && (pkt->is_tcp() || pkt->is_udp());
+    const auto hdr = peek_ipv4_l4(frame);
+    ASSERT_EQ(hdr.has_value(), decodes_ipv4_l4)
+        << "frame " << i << " (" << frame.size() << " bytes)";
+    if (!hdr) continue;
+    ++accepted;
+    EXPECT_EQ(hdr->src, pkt->src_v4()) << "frame " << i;
+    EXPECT_EQ(hdr->dst, pkt->dst_v4()) << "frame " << i;
+    EXPECT_EQ(hdr->src_port, pkt->src_port()) << "frame " << i;
+    EXPECT_EQ(hdr->dst_port, pkt->dst_port()) << "frame " << i;
+    EXPECT_EQ(hdr->is_tcp(), pkt->is_tcp()) << "frame " << i;
+    EXPECT_EQ(hdr->protocol, pkt->ipv4().protocol) << "frame " << i;
+    const std::uint8_t flags = pkt->is_tcp() ? pkt->tcp().flags : 0;
+    EXPECT_EQ(hdr->tcp_flags, flags) << "frame " << i;  // SYN, ACK, ...
+  }
+  // Both verdicts must be well represented, or the agreement is vacuous.
+  EXPECT_GT(accepted, corpus.size() / 10);
+  EXPECT_LT(accepted, corpus.size() - corpus.size() / 10);
 }
 
 }  // namespace

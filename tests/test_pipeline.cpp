@@ -18,10 +18,12 @@
 #include <thread>
 #include <vector>
 
+#include "header_peek_corpus.hpp"
 #include "core/flowdb_io.hpp"
 #include "core/sniffer.hpp"
 #include "dns/message.hpp"
 #include "faultinject/faultinject.hpp"
+#include "flow/table.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "packet/build.hpp"
@@ -209,6 +211,45 @@ TEST_F(PipelineTest, ShardForIsDeterministicAndCoversShards) {
   // 50 clients hashed over 4 shards: every shard must see traffic.
   for (std::size_t shard = 0; shard < 4; ++shard)
     EXPECT_GT(counts[shard], 0u) << "shard " << shard << " got no frames";
+}
+
+// The dispatch rule read through the full decoder: decode_frame, the
+// DNS-port rule, flow::orient, then the splitmix64 finalizer reduced mod
+// `shards`. shard_for reads the same rule from a header peek and must
+// agree with this oracle on every frame, accepted or not.
+std::size_t decode_oracle_shard(net::BytesView frame, std::size_t shards) {
+  const auto pkt = packet::decode_frame(frame, util::Timestamp{});
+  if (!pkt || !pkt->is_ipv4()) return 0;
+  net::Ipv4Address client;
+  if (pkt->src_port() == dns::kDnsPort)
+    client = pkt->dst_v4();
+  else if (pkt->dst_port() == dns::kDnsPort)
+    client = pkt->src_v4();
+  else
+    client = flow::orient(*pkt).key.client_ip;
+  std::uint64_t x = client.value();
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return static_cast<std::size_t>(x % shards);
+}
+
+TEST_F(PipelineTest, ShardForMatchesDecodeOracle) {
+  std::vector<net::Bytes> corpus = testcorpus::header_peek_corpus(20121114);
+  for (const auto& frame : *frames_) corpus.push_back(frame.data);
+  for (std::size_t shards = 2; shards <= 8; ++shards) {
+    std::vector<std::size_t> counts(shards, 0);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const std::size_t shard =
+          pipeline::ShardedAnalyzer::shard_for(corpus[i], shards);
+      ASSERT_EQ(shard, decode_oracle_shard(corpus[i], shards))
+          << "frame " << i << ", " << shards << " shards";
+      ++counts[shard];
+    }
+    for (std::size_t s = 0; s < shards; ++s)
+      EXPECT_GT(counts[s], 0u) << "shard " << s << " of " << shards;
+  }
 }
 
 // Connections whose two ports are both ephemeral with server > client are

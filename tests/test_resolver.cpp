@@ -141,6 +141,23 @@ TEST(Resolver, ZeroCapacityClampedToOne) {
   EXPECT_EQ(resolver.capacity(), 1u);
 }
 
+// The Clist allocates slots as responses arrive, but its size L — what the
+// cache-size gauge and the Sec. 6 dimensioning read — is fixed up front.
+TEST(Resolver, CapacityIsLBeforeFirstInsert) {
+  const DnsResolver big{std::size_t{1} << 20};
+  EXPECT_EQ(big.capacity(), std::size_t{1} << 20);
+
+  DnsResolver resolver{3};
+  EXPECT_EQ(resolver.capacity(), 3u);
+  for (std::uint8_t i = 0; i < 5; ++i)
+    insert(resolver, Ipv4Address{10, 0, 2, i}, "x.example.com", {kServerA});
+  EXPECT_EQ(resolver.capacity(), 3u);
+  EXPECT_EQ(resolver.stats().evictions, 2u);
+  EXPECT_FALSE(resolver.lookup(Ipv4Address{10, 0, 2, 1}, kServerA));
+  for (std::uint8_t i = 2; i < 5; ++i)
+    EXPECT_TRUE(resolver.lookup(Ipv4Address{10, 0, 2, i}, kServerA));
+}
+
 TEST(Resolver, UnorderedPolicyBehavesIdentically) {
   DnsResolverOrdered ordered{8};
   DnsResolverUnordered unordered{8};
