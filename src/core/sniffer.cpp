@@ -486,7 +486,7 @@ bool Sniffer::process_pcap(const std::string& path) {
   pcap::CaptureReadReport report;
   const bool ok = pcap::read_any_capture(
       path,
-      [this](const pcap::Frame& frame) {
+      [this](const pcap::FrameView& frame) {
         on_frame(frame.data, frame.timestamp);
       },
       options, report);

@@ -1,6 +1,7 @@
 #include "pcap/pcap.hpp"
 
 #include <cstring>
+#include <utility>
 
 namespace dnh::pcap {
 namespace {
@@ -43,17 +44,40 @@ constexpr std::uint32_t kMaxRecordBytes = 256 * 1024;
 /// window of the last good record — random garbage almost never does.
 constexpr std::uint32_t kResyncTsWindowSeconds = 366 * 86400;
 
+RecordHeader load_header(const std::uint8_t* at, bool swapped) noexcept {
+  RecordHeader rh{};
+  std::memcpy(&rh, at, sizeof rh);
+  if (swapped) {
+    rh.ts_sec = bswap32(rh.ts_sec);
+    rh.ts_frac = bswap32(rh.ts_frac);
+    rh.incl_len = bswap32(rh.incl_len);
+    rh.orig_len = bswap32(rh.orig_len);
+  }
+  return rh;
+}
+
 }  // namespace
 
-std::optional<Reader> Reader::open(const std::string& path, Mode mode) {
-  std::FILE* raw = std::fopen(path.c_str(), "rb");
-  if (!raw) return std::nullopt;
-  Reader reader;
-  reader.file_.reset(raw);
-  reader.mode_ = mode;
+Frame to_frame(const FrameView& view) {
+  return Frame{view.timestamp, view.original_length,
+               net::Bytes(view.data.begin(), view.data.end())};
+}
 
+std::optional<Reader> Reader::open(const std::string& path, Mode mode,
+                                   std::size_t window_bytes) {
+  ByteWindow window;
+  if (!window.open(path, window_bytes)) return std::nullopt;
+  return open(std::move(window), mode);
+}
+
+std::optional<Reader> Reader::open(ByteWindow window, Mode mode) {
   GlobalHeader gh{};
-  if (std::fread(&gh, sizeof gh, 1, raw) != 1) return std::nullopt;
+  if (!window.fill(sizeof gh)) return std::nullopt;
+  std::memcpy(&gh, window.data(), sizeof gh);
+  window.consume(sizeof gh);
+  Reader reader;
+  reader.window_ = std::move(window);
+  reader.mode_ = mode;
 
   switch (gh.magic) {
     case kMagicMicros:
@@ -103,126 +127,128 @@ bool Reader::plausible_candidate(std::uint32_t ts_sec, std::uint32_t ts_frac,
                           have_last_ts_, last_ts_sec_);
 }
 
-bool Reader::chain_ok(long found, std::uint32_t ts_sec,
-                      std::uint32_t incl_len, long file_size) {
+bool Reader::chain_ok(std::size_t at, std::uint32_t ts_sec,
+                      std::uint32_t incl_len) {
   // A lone plausible header inside packet bytes is still possible (e.g.
   // small integers lining up as lengths); demand that the record it
-  // describes ends exactly at EOF or at another plausible header.
-  const long body_end =
-      found + static_cast<long>(sizeof(RecordHeader)) +
-      static_cast<long>(incl_len);
-  if (body_end > file_size) return false;   // claimed body overruns EOF
-  if (body_end == file_size) return true;   // perfect final record
-  if (body_end + static_cast<long>(sizeof(RecordHeader)) > file_size)
-    return false;  // would leave a partial trailing header: not credible
-  RecordHeader next{};
-  std::fseek(file_.get(), body_end, SEEK_SET);
-  if (std::fread(&next, 1, sizeof next, file_.get()) != sizeof next)
-    return false;
-  if (swapped_) {
-    next.ts_sec = bswap32(next.ts_sec);
-    next.ts_frac = bswap32(next.ts_frac);
-    next.incl_len = bswap32(next.incl_len);
-    next.orig_len = bswap32(next.orig_len);
+  // describes (at `at` past the read position) ends exactly at EOF or at
+  // another plausible header.
+  const std::size_t body_end = at + sizeof(RecordHeader) + incl_len;
+  if (!window_.fill(body_end + sizeof(RecordHeader))) {
+    // The stream ends within the lookahead, so available() is all that is
+    // left: only a perfect final record is credible, not a claimed body
+    // that overruns EOF or one that leaves a partial trailing header.
+    return window_.available() == body_end;
   }
+  const RecordHeader next = load_header(window_.data() + body_end, swapped_);
   return plausible_header(next.ts_sec, next.ts_frac, next.incl_len,
                           next.orig_len, true, ts_sec);
 }
 
-bool Reader::try_resync(long record_start) {
+bool Reader::try_resync() {
   // Scan forward, one byte at a time, for the next plausible record
-  // header. Overlapping 64 KiB chunks keep this O(n) over the damage.
+  // header, starting one byte past the rejected one at the read position.
   //
   // A candidate is *verified* when its record is followed by EOF or by
   // another plausible header (chain_ok); that kills byte-alignment false
   // positives. But a genuine record whose successor is itself damaged
-  // fails that check, so the first plausible-but-unverified candidate is
-  // kept as a fallback: it wins over a later verified candidate provided
-  // its claimed body does not overlap it (an overlapping claim is the
-  // signature of a false positive straddling the real header).
-  constexpr std::size_t kChunk = 64 * 1024;
-  std::vector<unsigned char> buf(kChunk + sizeof(RecordHeader));
-  std::fseek(file_.get(), 0, SEEK_END);
-  const long file_size = std::ftell(file_.get());
-  long fallback = -1, fallback_end = -1;
-  const auto accept = [&](long at) {
-    corruption_.bytes_skipped +=
-        static_cast<std::uint64_t>(at - record_start);
+  // fails that check, so a plausible-but-unverified candidate is kept as a
+  // fallback: it wins over a later verified candidate provided its claimed
+  // body does not overlap it (an overlapping claim is the signature of a
+  // false positive straddling the real header). Among unverified
+  // candidates that overlap, the one whose timestamp is nearest the last
+  // good record's is kept: a genuine header seen one byte early still
+  // has plausible fields (a 100-byte length reads as 25600, a small
+  // sub-second field stays under 10^6), and only its timestamp, 256 times
+  // too large, gives it away.
+  //
+  // Until a fallback is held the read position follows the scan, so a
+  // garbage run of any length streams through the window without growing
+  // it. Once one is held the position stays on it, and the scan stops at
+  // its claimed end: from there on the rule above picks the fallback
+  // whatever follows. That bounds the lookahead to 2 × (16 +
+  // kMaxRecordBytes) + 16 bytes past the fallback.
+  const std::uint64_t record_start = window_.offset();
+  const auto accept = [&](std::size_t at) {
+    window_.consume(at);
+    corruption_.bytes_skipped += window_.offset() - record_start;
     ++corruption_.resyncs;
-    std::fseek(file_.get(), at, SEEK_SET);
     return true;
   };
-  long scan_pos = record_start + 1;
-  while (true) {
-    std::fseek(file_.get(), scan_pos, SEEK_SET);
-    const std::size_t got =
-        std::fread(buf.data(), 1, buf.size(), file_.get());
-    if (got >= sizeof(RecordHeader)) {
-      for (std::size_t i = 0; i + sizeof(RecordHeader) <= got; ++i) {
-        RecordHeader cand{};
-        std::memcpy(&cand, buf.data() + i, sizeof cand);
-        if (swapped_) {
-          cand.ts_sec = bswap32(cand.ts_sec);
-          cand.ts_frac = bswap32(cand.ts_frac);
-          cand.incl_len = bswap32(cand.incl_len);
-          cand.orig_len = bswap32(cand.orig_len);
-        }
-        if (!plausible_candidate(cand.ts_sec, cand.ts_frac, cand.incl_len,
-                                 cand.orig_len))
-          continue;
-        const long found = scan_pos + static_cast<long>(i);
-        const long body_end =
-            found + static_cast<long>(sizeof(RecordHeader)) +
-            static_cast<long>(cand.incl_len);
-        if (chain_ok(found, cand.ts_sec, cand.incl_len, file_size)) {
-          if (fallback >= 0 && fallback_end <= found)
-            return accept(fallback);
-          return accept(found);
-        }
-        if (fallback < 0 && body_end <= file_size) {
-          fallback = found;
-          fallback_end = body_end;
-        }
+  const auto ts_gap = [&](std::uint32_t ts_sec) -> std::uint32_t {
+    if (!have_last_ts_) return 0;
+    return ts_sec > last_ts_sec_ ? ts_sec - last_ts_sec_
+                                 : last_ts_sec_ - ts_sec;
+  };
+  std::size_t at = 1;            // candidate, past the read position
+  std::size_t fallback_end = 0;  // 0: no fallback (else at the position)
+  std::uint32_t fallback_gap = 0;
+  while (fallback_end == 0 || at < fallback_end) {
+    if (fallback_end == 0) {
+      window_.consume(at);
+      at = 0;
+    }
+    if (!window_.fill(at + sizeof(RecordHeader))) break;  // EOF
+    const RecordHeader cand = load_header(window_.data() + at, swapped_);
+    if (plausible_candidate(cand.ts_sec, cand.ts_frac, cand.incl_len,
+                            cand.orig_len)) {
+      if (chain_ok(at, cand.ts_sec, cand.incl_len)) return accept(at);
+      // chain_ok filled past this body, or hit EOF: available() decides
+      // whether the claimed body fits in what is left.
+      const std::size_t body_end = at + sizeof(RecordHeader) + cand.incl_len;
+      const std::uint32_t gap = ts_gap(cand.ts_sec);
+      if (body_end <= window_.available() &&
+          (fallback_end == 0 || gap < fallback_gap)) {
+        window_.consume(at);  // the position moves onto the new fallback
+        fallback_end = body_end - at;
+        fallback_gap = gap;
+        at = 0;
       }
     }
-    if (got < buf.size()) break;  // reached EOF without a candidate
-    scan_pos += static_cast<long>(got - (sizeof(RecordHeader) - 1));
+    ++at;
   }
-  if (fallback >= 0) return accept(fallback);
+  if (fallback_end != 0) return accept(0);
   // Nothing recoverable remains: account the tail as skipped and stop.
-  corruption_.bytes_skipped +=
-      static_cast<std::uint64_t>(file_size - record_start);
-  std::fseek(file_.get(), 0, SEEK_END);
+  window_.consume(window_.available());
+  corruption_.bytes_skipped += window_.offset() - record_start;
   ++corruption_.truncated_tail;
   return false;
 }
 
+void Reader::stream_ended(const char* truncation) {
+  if (!window_.error().empty()) {
+    error_ = window_.error();
+  } else if (window_.available() == 0) {
+    // Clean EOF at a record boundary.
+  } else if (mode_ == Mode::kResync) {
+    // The file ends inside this record: unrecoverable tail.
+    corruption_.bytes_skipped += window_.available();
+    ++corruption_.truncated_tail;
+    window_.consume(window_.available());
+  } else {
+    error_ = truncation;
+  }
+}
+
 std::optional<Frame> Reader::next() {
-  if (!file_ || !error_.empty()) return std::nullopt;
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  return to_frame(*view);
+}
+
+// dnh-analyze: hot
+std::optional<FrameView> Reader::next_view() {
+  if (!error_.empty()) return std::nullopt;
 
   while (true) {
-    const long record_start = std::ftell(file_.get());
-    RecordHeader rh{};
-    const std::size_t got = std::fread(&rh, 1, sizeof rh, file_.get());
-    if (got == 0) return std::nullopt;  // clean EOF
-    if (got != sizeof rh) {
-      if (mode_ == Mode::kResync) {
-        corruption_.bytes_skipped += got;
-        ++corruption_.truncated_tail;
-        return std::nullopt;
-      }
-      error_ = "truncated record header";
+    if (!window_.fill(sizeof(RecordHeader))) {
+      stream_ended("truncated record header");
       return std::nullopt;
     }
-    if (swapped_) {
-      rh.ts_sec = bswap32(rh.ts_sec);
-      rh.ts_frac = bswap32(rh.ts_frac);
-      rh.incl_len = bswap32(rh.incl_len);
-      rh.orig_len = bswap32(rh.orig_len);
-    }
+    const RecordHeader rh = load_header(window_.data(), swapped_);
     // Sanity bound: a record longer than any plausible snaplen means a
-    // corrupt stream; never allocate gigabytes. Resync mode applies the
-    // full candidate test so length/timestamp lies are caught here too.
+    // corrupt stream; never read gigabytes. Resync mode applies the full
+    // candidate test so length/timestamp lies are caught here too.
     const bool bad_header =
         mode_ == Mode::kResync
             ? !plausible_candidate(rh.ts_sec, rh.ts_frac, rh.incl_len,
@@ -231,34 +257,25 @@ std::optional<Frame> Reader::next() {
             : rh.incl_len > kMaxRecordBytes;
     if (bad_header) {
       if (mode_ == Mode::kResync) {
-        if (try_resync(record_start)) continue;
+        if (try_resync()) continue;
         return std::nullopt;
       }
       error_ = "implausible record length";
       return std::nullopt;
     }
 
-    Frame frame;
-    frame.data.resize(rh.incl_len);
-    if (rh.incl_len > 0) {
-      const std::size_t body =
-          std::fread(frame.data.data(), 1, rh.incl_len, file_.get());
-      if (body != rh.incl_len) {
-        if (mode_ == Mode::kResync) {
-          // The file ends inside this record: unrecoverable tail.
-          corruption_.bytes_skipped += sizeof rh + body;
-          ++corruption_.truncated_tail;
-          return std::nullopt;
-        }
-        error_ = "truncated record body";
-        return std::nullopt;
-      }
+    const std::size_t record = sizeof rh + rh.incl_len;
+    if (!window_.fill(record)) {
+      stream_ended("truncated record body");
+      return std::nullopt;
     }
     const std::int64_t us =
         static_cast<std::int64_t>(rh.ts_sec) * 1'000'000 +
         (nanos_ ? rh.ts_frac / 1000 : rh.ts_frac);
-    frame.timestamp = util::Timestamp::from_micros(us);
-    frame.original_length = rh.orig_len;
+    const FrameView frame{util::Timestamp::from_micros(us), rh.orig_len,
+                          net::BytesView{window_.data() + sizeof rh,
+                                         rh.incl_len}};
+    window_.consume(record);
     have_last_ts_ = true;
     last_ts_sec_ = rh.ts_sec;
     ++frames_read_;

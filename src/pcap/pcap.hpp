@@ -13,6 +13,7 @@
 #include <string>
 
 #include "net/bytes.hpp"
+#include "pcap/window.hpp"
 #include "util/time.hpp"
 
 namespace dnh::pcap {
@@ -26,6 +27,18 @@ struct Frame {
   std::uint32_t original_length = 0;  ///< wire length (>= data.size())
   net::Bytes data;                    ///< captured bytes
 };
+
+/// A frame as the readers yield it: the captured bytes are a view into
+/// the reader's window, valid until the reader's next call (for a sink,
+/// for the duration of the sink call).
+struct FrameView {
+  util::Timestamp timestamp;
+  std::uint32_t original_length = 0;  ///< wire length (>= data.size())
+  net::BytesView data;                ///< captured bytes
+};
+
+/// An owned copy of `view`.
+Frame to_frame(const FrameView& view);
 
 /// Damage encountered (and survived) while reading a corrupt savefile in
 /// resync mode. `events()` is the number of discrete corruption incidents,
@@ -54,16 +67,28 @@ class Reader {
  public:
   enum class Mode { kStrict, kResync };
 
-  /// Opens `path`; returns nullopt if the file is missing or the global
-  /// header is not a recognizable pcap header.
+  /// Opens `path`; returns nullopt if it cannot be opened or the global
+  /// header is not a recognizable pcap header. `window_bytes` sizes the
+  /// read window (see window.hpp); tests pass a few KiB to put window
+  /// edges where they choose.
   static std::optional<Reader> open(const std::string& path,
-                                    Mode mode = Mode::kStrict);
+                                    Mode mode = Mode::kStrict,
+                                    std::size_t window_bytes =
+                                        kReadWindowBytes);
 
-  /// Reads the next frame; nullopt at end of stream (or on error).
+  /// As above, over an opened window positioned at the global header.
+  static std::optional<Reader> open(ByteWindow window, Mode mode);
+
+  /// Reads the next frame as a view into the window, valid until the next
+  /// call; nullopt at end of stream (or on error).
+  std::optional<FrameView> next_view();
+
+  /// next_view() as an owned copy.
   std::optional<Frame> next();
 
   /// Non-empty if the stream ended due to corruption rather than EOF
-  /// (strict mode only; resync mode reports through `corruption()`).
+  /// (strict mode only; resync mode reports through `corruption()`), or
+  /// because reading the file failed.
   const std::string& error() const noexcept { return error_; }
 
   /// Damage survived so far (resync mode; all-zero in strict mode).
@@ -73,11 +98,6 @@ class Reader {
   std::uint64_t frames_read() const noexcept { return frames_read_; }
 
  private:
-  struct FileCloser {
-    void operator()(std::FILE* f) const noexcept {
-      if (f) std::fclose(f);
-    }
-  };
   Reader() = default;
 
   bool plausible_header(std::uint32_t ts_sec, std::uint32_t ts_frac,
@@ -86,11 +106,14 @@ class Reader {
   bool plausible_candidate(std::uint32_t ts_sec, std::uint32_t ts_frac,
                            std::uint32_t incl_len,
                            std::uint32_t orig_len) const noexcept;
-  bool chain_ok(long found, std::uint32_t ts_sec, std::uint32_t incl_len,
-                long file_size);
-  bool try_resync(long record_start);
+  bool chain_ok(std::size_t at, std::uint32_t ts_sec, std::uint32_t incl_len);
+  bool try_resync();
+  /// The stream ended where a record needed more bytes: a clean EOF at a
+  /// record boundary, a read error, or a truncated tail (an error in
+  /// strict mode, tallied in resync mode).
+  void stream_ended(const char* truncation);
 
-  std::unique_ptr<std::FILE, FileCloser> file_;
+  ByteWindow window_;
   Mode mode_ = Mode::kStrict;
   bool swapped_ = false;
   bool nanos_ = false;

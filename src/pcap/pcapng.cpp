@@ -1,7 +1,9 @@
 #include "pcap/pcapng.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,6 +27,19 @@ std::uint16_t bswap16(std::uint16_t v) noexcept {
   return static_cast<std::uint16_t>((v << 8) | (v >> 8));
 }
 
+/// `ticks` at `ticks_per_second` as microseconds. Whole seconds and the
+/// remainder convert separately: `ticks * 10^6` overflows 64 bits for any
+/// real-epoch stamp, and the remainder's product is taken in 128 bits for
+/// resolutions finer than about 2^-44 s.
+std::int64_t ticks_to_micros(std::uint64_t ticks,
+                             std::uint64_t ticks_per_second) noexcept {
+  const std::uint64_t seconds = ticks / ticks_per_second;
+  const unsigned __int128 rest = ticks % ticks_per_second;
+  return static_cast<std::int64_t>(
+      seconds * 1'000'000 +
+      static_cast<std::uint64_t>(rest * 1'000'000 / ticks_per_second));
+}
+
 }  // namespace
 
 std::uint32_t NgReader::to_host(std::uint32_t v) const noexcept {
@@ -35,21 +50,26 @@ std::uint16_t NgReader::to_host(std::uint16_t v) const noexcept {
   return swapped_ ? bswap16(v) : v;
 }
 
-bool NgReader::read_exact(void* buffer, std::size_t n) {
-  return std::fread(buffer, 1, n, file_.get()) == n;
+std::uint32_t NgReader::load32(const std::uint8_t* at) const noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, at, 4);
+  return to_host(v);
 }
 
-std::optional<NgReader> NgReader::open(const std::string& path) {
-  std::FILE* raw = std::fopen(path.c_str(), "rb");
-  if (!raw) return std::nullopt;
-  NgReader reader;
-  reader.file_.reset(raw);
+std::optional<NgReader> NgReader::open(const std::string& path,
+                                       std::size_t window_bytes) {
+  ByteWindow window;
+  if (!window.open(path, window_bytes)) return std::nullopt;
+  return open(std::move(window));
+}
 
-  std::uint32_t type = 0, total_length = 0, magic = 0;
-  if (!reader.read_exact(&type, 4) || type != kSectionHeaderBlock)
-    return std::nullopt;
-  if (!reader.read_exact(&total_length, 4) || !reader.read_exact(&magic, 4))
-    return std::nullopt;
+std::optional<NgReader> NgReader::open(ByteWindow window) {
+  if (!window.fill(12)) return std::nullopt;
+  NgReader reader;
+  std::uint32_t type = 0, magic = 0;
+  std::memcpy(&type, window.data(), 4);
+  std::memcpy(&magic, window.data() + 8, 4);
+  if (type != kSectionHeaderBlock) return std::nullopt;
   if (magic == kByteOrderMagic) {
     reader.swapped_ = false;
   } else if (bswap32(magic) == kByteOrderMagic) {
@@ -57,15 +77,18 @@ std::optional<NgReader> NgReader::open(const std::string& path) {
   } else {
     return std::nullopt;
   }
-  // Skip the rest of the SHB: version (4) + section length (8) + options.
-  const std::uint32_t length = reader.to_host(total_length);
+  const std::uint32_t length = reader.load32(window.data() + 4);
   if (length < 28 || length > kMaxBlockLength || length % 4 != 0)
     return std::nullopt;
-  std::fseek(raw, static_cast<long>(length - 12), SEEK_CUR);
+  // Skip the rest of the SHB: version (4) + section length (8) + options.
+  // A file that ends inside it simply has no frames.
+  window.fill(length);
+  window.consume(std::min<std::size_t>(length, window.available()));
+  reader.window_ = std::move(window);
   return reader;
 }
 
-void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
+void NgReader::parse_interface_block(net::BytesView body) {
   Interface iface;
   if (body.size() >= 2) {
     std::uint16_t link = 0;
@@ -84,48 +107,65 @@ void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
     if (code == 0) break;  // opt_endofopt
     if (pos + opt_len > body.size()) break;
     if (code == 9 && opt_len >= 1) {
+      // 2^-n or 10^-n seconds; a resolution finer than 64-bit ticks per
+      // second can express keeps the default.
       const std::uint8_t resol = body[pos];
+      const unsigned exponent = resol & 0x7fu;
       if (resol & 0x80) {
-        iface.ticks_per_second = 1ull << (resol & 0x7f);
-      } else {
+        if (exponent < 64) iface.ticks_per_second = 1ull << exponent;
+      } else if (exponent <= 19) {
         iface.ticks_per_second = 1;
-        for (int i = 0; i < (resol & 0x7f); ++i)
-          iface.ticks_per_second *= 10;
+        for (unsigned i = 0; i < exponent; ++i) iface.ticks_per_second *= 10;
       }
     }
     pos += (opt_len + 3u) & ~3u;  // options are padded to 32 bits
   }
-  if (iface.ticks_per_second == 0) iface.ticks_per_second = 1'000'000;
   interfaces_.push_back(iface);
 }
 
+void NgReader::stream_ended(const char* truncation) {
+  if (!window_.error().empty()) {
+    error_ = window_.error();
+  } else if (window_.available() > 0) {
+    error_ = truncation;
+  }
+}
+
 std::optional<Frame> NgReader::next() {
-  if (!file_ || !error_.empty()) return std::nullopt;
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  return to_frame(*view);
+}
+
+// dnh-analyze: hot
+std::optional<FrameView> NgReader::next_view() {
+  if (!error_.empty()) return std::nullopt;
   while (true) {
-    std::uint32_t raw_type = 0, raw_length = 0;
-    const std::size_t got = std::fread(&raw_type, 1, 4, file_.get());
-    if (got == 0) return std::nullopt;  // clean EOF
-    if (got != 4 || !read_exact(&raw_length, 4)) {
-      error_ = "truncated block header";
+    if (!window_.fill(8)) {
+      stream_ended("truncated block header");
       return std::nullopt;
     }
-    const std::uint32_t type = to_host(raw_type);
-    const std::uint32_t total_length = to_host(raw_length);
+    const std::uint32_t type = load32(window_.data());
+    const std::uint32_t total_length = load32(window_.data() + 4);
     if (total_length < 12 || total_length > kMaxBlockLength ||
         total_length % 4 != 0) {
       error_ = "implausible block length";
       return std::nullopt;
     }
-    std::vector<std::uint8_t> body(total_length - 12);
-    if (!read_exact(body.data(), body.size())) {
-      error_ = "truncated block body";
+    if (!window_.fill(total_length)) {
+      stream_ended(window_.available() < total_length - 4
+                       ? "truncated block body"
+                       : "block trailer mismatch");
       return std::nullopt;
     }
-    std::uint32_t trailer = 0;
-    if (!read_exact(&trailer, 4) || to_host(trailer) != total_length) {
+    if (load32(window_.data() + total_length - 4) != total_length) {
       error_ = "block trailer mismatch";
       return std::nullopt;
     }
+    // The block stays in the window until the next fill, so the body (and
+    // a frame viewing it) outlives the consume.
+    const net::BytesView body{window_.data() + 8, total_length - 12u};
+    window_.consume(total_length);
 
     if (type == kInterfaceBlock) {
       parse_interface_block(body);
@@ -136,44 +176,34 @@ std::optional<Frame> NgReader::next() {
         error_ = "short enhanced packet block";
         return std::nullopt;
       }
-      std::uint32_t iface_id, ts_high, ts_low, captured, original;
-      std::memcpy(&iface_id, body.data(), 4);
-      std::memcpy(&ts_high, body.data() + 4, 4);
-      std::memcpy(&ts_low, body.data() + 8, 4);
-      std::memcpy(&captured, body.data() + 12, 4);
-      std::memcpy(&original, body.data() + 16, 4);
-      iface_id = to_host(iface_id);
-      captured = to_host(captured);
-      if (20 + captured > body.size()) {
+      const std::uint32_t iface_id = load32(body.data());
+      const std::uint32_t ts_high = load32(body.data() + 4);
+      const std::uint32_t ts_low = load32(body.data() + 8);
+      const std::uint32_t captured = load32(body.data() + 12);
+      const std::uint32_t original = load32(body.data() + 16);
+      // In size_t: 20 + a captured length near 2^32 wraps in 32 bits.
+      if (20 + std::size_t{captured} > body.size()) {
         error_ = "enhanced packet data exceeds block";
         return std::nullopt;
       }
-      const std::uint64_t ticks =
-          (std::uint64_t{to_host(ts_high)} << 32) | to_host(ts_low);
+      const std::uint64_t ticks = (std::uint64_t{ts_high} << 32) | ts_low;
       const std::uint64_t ticks_per_second =
           iface_id < interfaces_.size()
               ? interfaces_[iface_id].ticks_per_second
               : 1'000'000;
-      Frame frame;
-      frame.timestamp = util::Timestamp::from_micros(static_cast<std::int64_t>(
-          ticks * 1'000'000 / ticks_per_second));
-      frame.original_length = to_host(original);
-      frame.data.assign(body.begin() + 20, body.begin() + 20 + captured);
       ++frames_read_;
-      return frame;
+      return FrameView{util::Timestamp::from_micros(
+                           ticks_to_micros(ticks, ticks_per_second)),
+                       original, body.subspan(20, captured)};
     }
     if (type == kSimplePacketBlock) {
       if (body.size() < 4) {
         error_ = "short simple packet block";
         return std::nullopt;
       }
-      std::uint32_t original = 0;
-      std::memcpy(&original, body.data(), 4);
-      Frame frame;
-      frame.original_length = to_host(original);
-      frame.data.assign(body.begin() + 4, body.end());
       ++frames_read_;
-      return frame;
+      return FrameView{util::Timestamp{}, load32(body.data()),
+                       body.subspan(4)};
     }
     // Unknown/unsupported block (NRB, ISB, custom, new SHB): skip.
   }
@@ -213,62 +243,81 @@ ReadMetrics& read_metrics() {
   return metrics;
 }
 
+/// The one frame loop, over either format's reader.
+template <class CaptureReader>
+void pump(CaptureReader& reader,
+          const std::function<void(const FrameView&)>& sink,
+          const CaptureReadOptions& options, CaptureReadReport& report) {
+  ReadMetrics& metrics = read_metrics();
+  obs::SampleGate gate{64};
+  while (true) {
+    if (options.stop && options.stop()) {
+      report.stopped = true;
+      break;
+    }
+    std::optional<FrameView> frame;
+    {
+      obs::SpanTimer span{metrics.read_ns, gate};
+      frame = reader.next_view();
+    }
+    if (!frame) break;
+    metrics.frames.inc();
+    metrics.bytes.add(frame->data.size());
+    sink(*frame);
+    ++report.frames;
+  }
+  report.error = reader.error();
+}
+
 }  // namespace
+
+bool read_any_capture(const std::string& path,
+                      const std::function<void(const FrameView&)>& sink,
+                      const CaptureReadOptions& options,
+                      CaptureReadReport& report) {
+  // The format is sniffed from the first bytes of one window rather than
+  // by trying each reader in turn: a pipe can be opened and read once.
+  ByteWindow window;
+  if (window.open(path) && window.fill(4)) {
+    std::uint32_t magic = 0;
+    std::memcpy(&magic, window.data(), 4);
+    if (magic == kSectionHeaderBlock) {
+      if (auto ng = NgReader::open(std::move(window))) {
+        pump(*ng, sink, options, report);
+        return report.error.empty();
+      }
+    } else if (auto classic = Reader::open(
+                   std::move(window), options.resync ? Reader::Mode::kResync
+                                                     : Reader::Mode::kStrict)) {
+      pump(*classic, sink, options, report);
+      report.corruption = classic->corruption();
+      ReadMetrics& metrics = read_metrics();
+      metrics.resyncs.add(report.corruption.resyncs);
+      metrics.bytes_skipped.add(report.corruption.bytes_skipped);
+      metrics.truncated_tails.add(report.corruption.truncated_tail);
+      return report.error.empty();
+    }
+  }
+  report.error = "not a pcap or pcapng capture: " + path;
+  return false;
+}
 
 bool read_any_capture(const std::string& path,
                       const std::function<void(const Frame&)>& sink,
                       const CaptureReadOptions& options,
                       CaptureReadReport& report) {
-  ReadMetrics& metrics = read_metrics();
-  obs::SampleGate gate{64};
-  const auto mode =
-      options.resync ? Reader::Mode::kResync : Reader::Mode::kStrict;
-  if (auto classic = Reader::open(path, mode)) {
-    while (true) {
-      if (options.stop && options.stop()) {
-        report.stopped = true;
-        break;
-      }
-      std::optional<Frame> frame;
-      {
-        obs::SpanTimer span{metrics.read_ns, gate};
-        frame = classic->next();
-      }
-      if (!frame) break;
-      metrics.frames.inc();
-      metrics.bytes.add(frame->data.size());
-      sink(*frame);
-      ++report.frames;
-    }
-    report.error = classic->error();
-    report.corruption = classic->corruption();
-    metrics.resyncs.add(report.corruption.resyncs);
-    metrics.bytes_skipped.add(report.corruption.bytes_skipped);
-    metrics.truncated_tails.add(report.corruption.truncated_tail);
-    return report.error.empty();
-  }
-  if (auto ng = NgReader::open(path)) {
-    while (true) {
-      if (options.stop && options.stop()) {
-        report.stopped = true;
-        break;
-      }
-      std::optional<Frame> frame;
-      {
-        obs::SpanTimer span{metrics.read_ns, gate};
-        frame = ng->next();
-      }
-      if (!frame) break;
-      metrics.frames.inc();
-      metrics.bytes.add(frame->data.size());
-      sink(*frame);
-      ++report.frames;
-    }
-    report.error = ng->error();
-    return report.error.empty();
-  }
-  report.error = "not a pcap or pcapng capture: " + path;
-  return false;
+  // One reused Frame: its buffer grows to the largest frame once and is
+  // refilled in place after that.
+  Frame frame;
+  return read_any_capture(
+      path,
+      [&](const FrameView& view) {
+        frame.timestamp = view.timestamp;
+        frame.original_length = view.original_length;
+        frame.data.assign(view.data.begin(), view.data.end());
+        sink(frame);
+      },
+      options, report);
 }
 
 }  // namespace dnh::pcap

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,15 +17,24 @@
 
 namespace dnh::pcap {
 
-/// Streaming reader for a pcapng file; yields the same Frame type as the
+/// Streaming reader for a pcapng file; yields the same frames as the
 /// classic Reader so the sniffer is format-agnostic.
 class NgReader {
  public:
   /// Opens `path`; nullopt unless it starts with a valid Section Header
-  /// Block.
-  static std::optional<NgReader> open(const std::string& path);
+  /// Block. `window_bytes` sizes the read window, as for Reader::open.
+  static std::optional<NgReader> open(const std::string& path,
+                                      std::size_t window_bytes =
+                                          kReadWindowBytes);
 
-  /// Next packet frame; nullopt at end of stream (check error()).
+  /// As above, over an opened window positioned at the Section Header.
+  static std::optional<NgReader> open(ByteWindow window);
+
+  /// Next packet frame as a view into the window, valid until the next
+  /// call; nullopt at end of stream (check error()).
+  std::optional<FrameView> next_view();
+
+  /// next_view() as an owned copy.
   std::optional<Frame> next();
 
   const std::string& error() const noexcept { return error_; }
@@ -40,11 +47,6 @@ class NgReader {
   }
 
  private:
-  struct FileCloser {
-    void operator()(std::FILE* f) const noexcept {
-      if (f) std::fclose(f);
-    }
-  };
   struct Interface {
     std::uint32_t link_type = kLinktypeEthernet;
     /// Timestamp units per second (default 1e6; set by if_tsresol).
@@ -52,13 +54,15 @@ class NgReader {
   };
 
   NgReader() = default;
-  bool read_block_header(std::uint32_t& type, std::uint32_t& length);
-  bool read_exact(void* buffer, std::size_t n);
   std::uint32_t to_host(std::uint32_t v) const noexcept;
   std::uint16_t to_host(std::uint16_t v) const noexcept;
-  void parse_interface_block(const std::vector<std::uint8_t>& body);
+  std::uint32_t load32(const std::uint8_t* at) const noexcept;
+  void parse_interface_block(net::BytesView body);
+  /// The stream ended where a block needed more bytes: a clean EOF at a
+  /// block boundary, a read error, or `truncation`.
+  void stream_ended(const char* truncation);
 
-  std::unique_ptr<std::FILE, FileCloser> file_;
+  ByteWindow window_;
   bool swapped_ = false;
   std::vector<Interface> interfaces_;
   std::uint64_t frames_read_ = 0;
@@ -67,7 +71,8 @@ class NgReader {
 
 /// Opens `path` as classic pcap or pcapng (sniffed from the magic) and
 /// streams frames through `sink`. Returns false on open/parse errors with
-/// a message in `error`.
+/// a message in `error`. The `const Frame&` sinks see one reused Frame,
+/// refilled per frame; a sink that keeps frames copies them.
 bool read_any_capture(const std::string& path,
                       const std::function<void(const Frame&)>& sink,
                       std::string& error);
@@ -93,7 +98,13 @@ struct CaptureReadReport {
 
 /// As above, with degraded-mode control and a detailed report. Returns
 /// false when the capture could not be opened or the stream aborted with
-/// an error; resynced corruption alone does not fail the read.
+/// an error; resynced corruption alone does not fail the read. The file
+/// is opened once, so `path` may be a FIFO.
+bool read_any_capture(const std::string& path,
+                      const std::function<void(const FrameView&)>& sink,
+                      const CaptureReadOptions& options,
+                      CaptureReadReport& report);
+
 bool read_any_capture(const std::string& path,
                       const std::function<void(const Frame&)>& sink,
                       const CaptureReadOptions& options,

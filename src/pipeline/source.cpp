@@ -87,7 +87,7 @@ bool ExportStreamSource::run(ShardedAnalyzer& analyzer) {
     pcap::CaptureReadReport report;
     ok = pcap::read_any_capture(
         dns_pcap_,
-        [&](const pcap::Frame& frame) {
+        [&](const pcap::FrameView& frame) {
           pump(frame.timestamp, false);
           analyzer.on_frame(frame.data, frame.timestamp);
         },

@@ -215,6 +215,71 @@ TEST_F(FaultInjectTest, LengthLiesLoseOnlyTheLyingRecords) {
   EXPECT_LE(stats.events(), report->faults());
 }
 
+/// 40k frames of 100 bytes: over four default read windows, so garbage
+/// runs and lying records also land across window edges and resync scans
+/// run through refills.
+std::uint64_t write_multi_window_capture(const std::string& p) {
+  auto writer = pcap::Writer::create(p);
+  EXPECT_TRUE(writer);
+  for (const auto& f : make_frames(40'000, 100)) writer->write(f);
+  writer->flush();
+  EXPECT_GE(fs::file_size(p), 4 * pcap::kReadWindowBytes);
+  return writer->frames_written();
+}
+
+TEST_F(FaultInjectTest, GarbageRunsAreFullyRecoveredAcrossWindows) {
+  const std::string src = path("clean.pcap");
+  const std::string dst = path("garbage.pcap");
+  const std::uint64_t total = write_multi_window_capture(src);
+
+  FileFaultConfig config;
+  config.seed = 5;
+  config.garbage_run_rate = 0.2;
+  const auto report = corrupt_pcap_file(src, dst, config);
+  ASSERT_TRUE(report);
+  EXPECT_EQ(report->records_in, total);
+  EXPECT_EQ(report->records_intact, total);
+  ASSERT_GT(report->garbage_runs, 0u);
+
+  std::string error;
+  const std::uint64_t strict_frames =
+      read_all(dst, pcap::Reader::Mode::kStrict, nullptr, &error);
+  EXPECT_LT(strict_frames, total);
+  EXPECT_FALSE(error.empty());
+
+  pcap::CorruptionStats stats;
+  const std::uint64_t frames =
+      read_all(dst, pcap::Reader::Mode::kResync, &stats, &error);
+  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(frames, total);
+  EXPECT_EQ(stats.resyncs, report->garbage_runs);
+  EXPECT_EQ(stats.bytes_skipped, report->garbage_bytes);
+  EXPECT_EQ(stats.events(), report->faults());
+}
+
+TEST_F(FaultInjectTest, LengthLiesLoseOnlyTheLyingRecordsAcrossWindows) {
+  const std::string src = path("clean.pcap");
+  const std::string dst = path("lies.pcap");
+  const std::uint64_t total = write_multi_window_capture(src);
+
+  FileFaultConfig config;
+  config.seed = 11;
+  config.length_lie_rate = 0.15;
+  const auto report = corrupt_pcap_file(src, dst, config);
+  ASSERT_TRUE(report);
+  ASSERT_GT(report->length_lies, 0u);
+  EXPECT_EQ(report->records_intact + report->length_lies, total);
+
+  pcap::CorruptionStats stats;
+  std::string error;
+  const std::uint64_t frames =
+      read_all(dst, pcap::Reader::Mode::kResync, &stats, &error);
+  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(frames, report->records_intact);
+  EXPECT_GE(stats.events(), 1u);
+  EXPECT_LE(stats.events(), report->faults());
+}
+
 TEST_F(FaultInjectTest, TruncatedTailIsCountedNotFatal) {
   const std::string src = path("clean.pcap");
   const std::string dst = path("tail.pcap");
