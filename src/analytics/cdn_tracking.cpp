@@ -44,12 +44,10 @@ CdnTrackingReport track_hosting(const core::FlowDatabase& db,
     if (b < 0 || static_cast<std::size_t>(b) >= n_bins) continue;
     // Addresses outside the org database are identified by /16 prefix so
     // churn is still visible without whois data.
-    std::string host;
-    if (const auto org = orgs.lookup(flow.key.server_ip)) {
-      host = std::string{*org};
-    } else {
-      host = net::cidr(flow.key.server_ip, 16).first.to_string() + "/16";
-    }
+    const auto org = orgs.lookup(flow.key.server_ip);
+    const std::string host =
+        org ? std::string{*org}
+            : net::cidr(flow.key.server_ip, 16).first.to_string() + "/16";
     HostingBin& hosting_bin = report.bins[static_cast<std::size_t>(b)];
     ++hosting_bin.flows;
     ++hosting_bin.hosts[host];

@@ -32,6 +32,11 @@ ContentReport content_discovery(const core::FlowDatabase& db,
                                 std::size_t top_k = 10,
                                 bool fqdn_granularity = false);
 
+/// The flows of each distinct server `orgs` attributes to `provider`.
+std::vector<std::span<const core::FlowDatabase::FlowIndex>> provider_flows(
+    const core::FlowDatabase& db, const orgdb::OrgDb& orgs,
+    std::string_view provider);
+
 /// CONTENT_DISCOVERY for every server the org database attributes to
 /// `provider` ("amazon", "akamai", ...).
 ContentReport content_discovery_by_provider(const core::FlowDatabase& db,

@@ -126,13 +126,8 @@ std::vector<DgaSuspect> detect_dga_clients(
         mean_randomness < config.randomness_threshold)
       continue;
 
-    DgaSuspect suspect;
-    suspect.client = client;
-    suspect.queries = acc.queries;
-    suspect.nxdomains = acc.nxdomains;
-    suspect.nxdomain_ratio = nxdomain_ratio;
-    suspect.mean_randomness = mean_randomness;
-    suspect.distinct_slds = acc.slds.size();
+    DgaSuspect suspect{client, acc.queries, acc.nxdomains, nxdomain_ratio,
+                       mean_randomness, acc.slds.size(), {}};
     std::sort(acc.scored_failures.rbegin(), acc.scored_failures.rend());
     for (std::size_t i = 0;
          i < std::min<std::size_t>(acc.scored_failures.size(), 5); ++i)

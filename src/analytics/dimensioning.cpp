@@ -45,40 +45,35 @@ std::vector<DimensioningPoint> clist_efficiency_sweep(
     const std::vector<std::size_t>& sizes) {
   const auto steps = merged_timeline(dns_log, db);
 
-  // Reference pass: which flows CAN be labeled with an unbounded Clist.
-  std::vector<bool> resolvable(db.size(), false);
-  {
-    core::DnsResolver reference{dns_log.size() + 1};
-    for (const auto& step : steps) {
-      if (step.is_flow) {
-        const auto& key = db.flow(step.index).key;
-        resolvable[step.index] =
-            reference.lookup(key.client_ip, key.server_ip).has_value();
-      } else {
-        const auto& event = dns_log[step.index];
-        reference.insert(event.client, event.fqdn,
-                         std::span{event.servers}, event.time);
-      }
-    }
-  }
-
-  std::vector<DimensioningPoint> out;
-  for (const auto size : sizes) {
+  // Replays the timeline through a Clist of `size`, handing each flow
+  // start's lookup outcome to on_flow(flow index, hit).
+  const auto replay = [&](std::size_t size, auto on_flow) {
     core::DnsResolver resolver{size};
-    DimensioningPoint point;
-    point.clist_size = size;
     for (const auto& step : steps) {
       if (step.is_flow) {
-        if (!resolvable[step.index]) continue;
-        ++point.lookups;
         const auto& key = db.flow(step.index).key;
-        if (resolver.lookup(key.client_ip, key.server_ip)) ++point.hits;
+        on_flow(step.index, resolver.lookup(key.client_ip, key.server_ip)
+                                .has_value());
       } else {
         const auto& event = dns_log[step.index];
         resolver.insert(event.client, event.fqdn, std::span{event.servers},
                         event.time);
       }
     }
+  };
+  // Reference pass: which flows CAN be labeled with an unbounded Clist.
+  std::vector<bool> resolvable(db.size(), false);
+  replay(dns_log.size() + 1,
+         [&](std::uint32_t flow, bool hit) { resolvable[flow] = hit; });
+
+  std::vector<DimensioningPoint> out;
+  for (const auto size : sizes) {
+    DimensioningPoint point;
+    point.clist_size = size;
+    replay(size, [&](std::uint32_t flow, bool hit) {
+      point.lookups += resolvable[flow];
+      point.hits += resolvable[flow] && hit;
+    });
     point.efficiency = point.lookups
                            ? static_cast<double>(point.hits) /
                                  static_cast<double>(point.lookups)
@@ -109,17 +104,15 @@ ConfusionReport confusion_analysis(
       const std::uint64_t key =
           (std::uint64_t{event.client.value()} << 32) | server.value();
       auto [it, inserted] = binding.try_emplace(key, event.fqdn);
-      if (!inserted && it->second != event.fqdn) {
-        ++report.replacements;
+      if (inserted) continue;
+      ++report.replacements;
+      if (it->second != event.fqdn) {
         ++report.different_fqdn;
         if (dns::second_level_domain(it->second) !=
             dns::second_level_domain(event.fqdn))
           ++report.different_organization;
-        it->second = event.fqdn;
-      } else if (!inserted) {
-        ++report.replacements;
-        it->second = event.fqdn;
       }
+      it->second = event.fqdn;
     }
   }
   for (const auto& flow : db.flows())

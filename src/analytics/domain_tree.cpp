@@ -15,10 +15,7 @@ DomainTree build_domain_tree(const core::FlowDatabase& db,
   tree.sld = sld;
   tree.root.token = sld;
 
-  struct ServerAcc {
-    std::set<net::Ipv4Address> servers;
-  };
-  std::map<std::string, ServerAcc> hosting_servers;
+  std::map<std::string_view, std::set<net::Ipv4Address>> hosting_servers;
 
   for (const auto index : db.by_second_level(sld)) {
     const auto& flow = db.flow(index);
@@ -43,15 +40,15 @@ DomainTree build_domain_tree(const core::FlowDatabase& db,
       }
     }
 
-    const std::string host = orgs.lookup_or(flow.key.server_ip);
-    auto& group = tree.hosting[host];
+    const std::string_view host =
+        orgs.lookup(flow.key.server_ip).value_or("unknown");
+    auto& group = tree.hosting[std::string{host}];
     ++group.flows;
-    group.fqdns.insert(sub.empty() ? "(apex)"
-                                   : normalize_digits(sub));
-    hosting_servers[host].servers.insert(flow.key.server_ip);
+    group.fqdns.insert(sub.empty() ? "(apex)" : normalize_digits(sub));
+    hosting_servers[host].insert(flow.key.server_ip);
   }
   for (auto& [host, group] : tree.hosting)
-    group.servers = hosting_servers[host].servers.size();
+    group.servers = hosting_servers[host].size();
   return tree;
 }
 

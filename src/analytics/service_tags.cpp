@@ -2,56 +2,60 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 #include "analytics/tokenizer.hpp"
+#include "util/flat_hash.hpp"
 
 namespace dnh::analytics {
-namespace {
-
-std::vector<ServiceTag> rank(
-    const std::map<std::string,
-                   std::unordered_map<std::uint32_t, std::uint64_t>>&
-        per_token_client_counts,
-    const TagExtractionOptions& options) {
-  std::vector<ServiceTag> tags;
-  tags.reserve(per_token_client_counts.size());
-  for (const auto& [token, clients] : per_token_client_counts) {
-    double score = 0.0;
-    for (const auto& [client, count] : clients) {
-      score += options.raw_counts
-                   ? static_cast<double>(count)
-                   : std::log(static_cast<double>(count) + 1.0);
-    }
-    tags.push_back({token, score});
-  }
-  std::sort(tags.begin(), tags.end(),
-            [](const ServiceTag& a, const ServiceTag& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.token < b.token;
-            });
-  if (options.top_k > 0 && tags.size() > options.top_k)
-    tags.resize(options.top_k);
-  return tags;
-}
-
-}  // namespace
 
 std::vector<ServiceTag> extract_tags_for_flows(
     const core::FlowDatabase& db,
     std::span<const core::FlowDatabase::FlowIndex> flows,
     const TagExtractionOptions& options) {
-  // token -> clientIP -> N_X(c)
-  std::map<std::string, std::unordered_map<std::uint32_t, std::uint64_t>>
-      counts;
+  // Tokens get dense ids per call; each distinct FQDN is tokenized once.
+  std::vector<std::string> tokens;  // token id -> text
+  util::FlatHash<std::string, std::uint32_t> token_ids;
+  util::FlatHash<core::DomainId, std::vector<std::uint32_t>> tokens_of;
+  // token id -> clientIP -> N_X(c). Each map sees its clients in flow
+  // order, so it iterates, and the score sums, in the order it always has.
+  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> counts;
   for (const auto index : flows) {
-    const auto& flow = db.flow(index);
+    const auto& flow = db.flows()[index];
     if (!flow.labeled()) continue;
-    for (const auto& token : fqdn_tokens(flow.fqdn))
-      ++counts[token][flow.key.client_ip.value()];
+    auto [ids, fresh] = tokens_of.try_emplace(flow.fqdn_id);
+    if (fresh)
+      for (auto& token : fqdn_tokens(flow.fqdn)) {
+        const auto [id, added] = token_ids.try_emplace(
+            token, static_cast<std::uint32_t>(tokens.size()));
+        if (added) tokens.push_back(std::move(token));
+        ids->second.push_back(id->second);
+      }
+    counts.resize(tokens.size());
+    for (const auto id : ids->second)
+      ++counts[id][flow.key.client_ip.value()];
   }
-  return rank(counts, options);
+
+  std::vector<std::pair<double, std::uint32_t>> scored;  // (score, token id)
+  for (std::uint32_t id = 0; id < tokens.size(); ++id) {
+    double score = 0.0;
+    for (const auto& [client, count] : counts[id])
+      score += options.raw_counts
+                   ? static_cast<double>(count)
+                   : std::log(static_cast<double>(count) + 1.0);
+    scored.emplace_back(score, id);
+  }
+  const std::size_t k = options.top_k ? std::min(options.top_k, scored.size())
+                                      : scored.size();
+  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
+                    [&tokens](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return tokens[a.second] < tokens[b.second];
+                    });
+  std::vector<ServiceTag> tags;
+  for (std::size_t i = 0; i < k; ++i)
+    tags.push_back({std::move(tokens[scored[i].second]), scored[i].first});
+  return tags;
 }
 
 std::vector<ServiceTag> extract_service_tags(

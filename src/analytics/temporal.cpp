@@ -1,8 +1,9 @@
 #include "analytics/temporal.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_set>
+
+#include "analytics/content.hpp"
 
 namespace dnh::analytics {
 namespace {
@@ -14,58 +15,54 @@ std::size_t bin_count(util::Timestamp start, util::Timestamp end,
   return static_cast<std::size_t>(std::max<std::int64_t>(n, 1));
 }
 
-}  // namespace
-
-util::TimeBinSeries distinct_servers_timeline(
-    const core::FlowDatabase& db, const std::string& sld,
-    util::Timestamp start, util::Timestamp end, util::Duration bin) {
+/// Distinct key(flow) per time bin over the labeled flows of `lists`.
+template <typename Key>
+util::TimeBinSeries distinct_per_bin(
+    const core::FlowDatabase& db,
+    const std::vector<std::span<const core::FlowDatabase::FlowIndex>>& lists,
+    util::Timestamp start, util::Timestamp end, util::Duration bin, Key key) {
   const std::size_t bins = bin_count(start, end, bin);
   std::vector<std::unordered_set<std::uint32_t>> sets(bins);
   util::TimeBinSeries series{start.seconds_since_epoch(),
                              bin.total_micros() / 1'000'000, bins};
-  for (const auto index : db.by_second_level(sld)) {
-    const auto& flow = db.flow(index);
-    const auto t = flow.first_packet.seconds_since_epoch();
-    if (!series.in_range(t)) continue;
-    sets[series.bin_of(t)].insert(flow.key.server_ip.value());
+  for (const auto list : lists) {
+    for (const auto index : list) {
+      const auto& flow = db.flows()[index];
+      const auto t = flow.first_packet.seconds_since_epoch();
+      if (flow.labeled() && series.in_range(t))
+        sets[series.bin_of(t)].insert(key(flow));
+    }
   }
   for (std::size_t b = 0; b < bins; ++b)
     series.add(series.bin_start_seconds(b),
                static_cast<double>(sets[b].size()));
   return series;
+}
+
+}  // namespace
+
+util::TimeBinSeries distinct_servers_timeline(
+    const core::FlowDatabase& db, const std::string& sld,
+    util::Timestamp start, util::Timestamp end, util::Duration bin) {
+  return distinct_per_bin(db, {db.by_second_level(sld)}, start, end, bin,
+                          [](const core::TaggedFlow& flow) {
+                            return flow.key.server_ip.value();
+                          });
 }
 
 util::TimeBinSeries distinct_fqdns_timeline(
     const core::FlowDatabase& db, const orgdb::OrgDb& orgs,
     const std::string& provider, util::Timestamp start, util::Timestamp end,
     util::Duration bin) {
-  const std::size_t bins = bin_count(start, end, bin);
-  std::vector<std::unordered_set<std::string>> sets(bins);
-  util::TimeBinSeries series{start.seconds_since_epoch(),
-                             bin.total_micros() / 1'000'000, bins};
-  for (const auto& flow : db.flows()) {
-    if (!flow.labeled()) continue;
-    const auto t = flow.first_packet.seconds_since_epoch();
-    if (!series.in_range(t)) continue;
-    if (orgs.lookup_or(flow.key.server_ip) != provider) continue;
-    sets[series.bin_of(t)].emplace(flow.fqdn);
-  }
-  for (std::size_t b = 0; b < bins; ++b)
-    series.add(series.bin_start_seconds(b),
-               static_cast<double>(sets[b].size()));
-  return series;
+  return distinct_per_bin(
+      db, provider_flows(db, orgs, provider), start, end, bin,
+      [](const core::TaggedFlow& flow) { return flow.fqdn_id; });
 }
 
 std::size_t distinct_fqdns_total(const core::FlowDatabase& db,
                                  const orgdb::OrgDb& orgs,
                                  const std::string& provider) {
-  std::unordered_set<std::string> fqdns;
-  for (const auto& flow : db.flows()) {
-    if (flow.labeled() &&
-        orgs.lookup_or(flow.key.server_ip) == provider)
-      fqdns.emplace(flow.fqdn);
-  }
-  return fqdns.size();
+  return content_discovery_by_provider(db, orgs, provider, 1).distinct_fqdns;
 }
 
 BirthProcess birth_process(const core::FlowDatabase& db,
@@ -85,8 +82,8 @@ BirthProcess birth_process(const core::FlowDatabase& db,
               return db.flow(a).first_packet < db.flow(b).first_packet;
             });
 
-  std::unordered_set<std::string> fqdns;
-  std::unordered_set<std::string> slds;
+  std::unordered_set<core::DomainId> fqdns;
+  std::unordered_set<std::uint32_t> slds;  // ranks
   std::unordered_set<std::uint32_t> servers;
   std::size_t next = 0;
   for (std::size_t b = 0; b < bins; ++b) {
@@ -98,8 +95,8 @@ BirthProcess birth_process(const core::FlowDatabase& db,
       // database (unlabeled P2P peers would make serverIPs grow forever).
       const auto& flow = db.flow(order[next]);
       if (flow.labeled()) {
-        fqdns.emplace(flow.fqdn);
-        slds.insert(std::string{flow.second_level()});
+        fqdns.insert(flow.fqdn_id);
+        slds.insert(db.sld_rank(order[next]));
         servers.insert(flow.key.server_ip.value());
       }
       ++next;
@@ -132,9 +129,7 @@ TrackerTimeline tracker_timeline(const core::FlowDatabase& db,
   };
   std::vector<Row> rows;
   for (const auto& fqdn : trackers) {
-    Row row;
-    row.fqdn = fqdn;
-    row.active.assign(bins, false);
+    Row row{fqdn, std::vector<bool>(bins)};
     for (const auto index : db.by_fqdn(fqdn)) {
       const auto t = db.flow(index).first_packet.seconds_since_epoch();
       const auto b = (t - start_s) / bin_s;

@@ -43,13 +43,7 @@ std::span<const FlowDatabase::FlowIndex> FlowDatabase::Postings<Key>::find(
     const Key& key) const {
   const auto it = std::lower_bound(keys.begin(), keys.end(), key);
   if (it == keys.end() || *it != key) return {};
-  const auto k = static_cast<std::size_t>(it - keys.begin());
-  return {rows.data() + offsets[k], rows.data() + offsets[k + 1]};
-}
-
-const FlowDatabase::Indexes& FlowDatabase::indexes() const {
-  std::call_once(index_->once, [this] { index_->built = build_indexes(); });
-  return *index_->built;
+  return at(static_cast<std::size_t>(it - keys.begin()));
 }
 
 FlowDatabase::Indexes FlowDatabase::build_indexes() const {
@@ -111,6 +105,9 @@ FlowDatabase::Indexes FlowDatabase::build_indexes() const {
   Indexes ix;
   split(servers, ix.server,
         [](std::uint32_t v) { return net::Ipv4Address{v}; });
+  ix.flow_server.resize(flows_.size());
+  for (std::uint32_t k = 0; k < ix.server.keys.size(); ++k)
+    for (const auto i : ix.server.at(k)) ix.flow_server[i] = k;
   split(ports, ix.port,
         [](std::uint32_t v) { return static_cast<std::uint16_t>(v); });
   split(fqdns, ix.fqdn, [](std::uint32_t v) { return DomainId{v}; });
@@ -123,7 +120,7 @@ FlowDatabase::Indexes FlowDatabase::build_indexes() const {
   std::vector<std::string_view> slds = fqdn_sld;
   std::sort(slds.begin(), slds.end());
   slds.erase(std::unique(slds.begin(), slds.end()), slds.end());
-  std::vector<std::uint32_t> flow_sld(flows_.size());
+  std::vector<std::uint32_t> flow_sld(flows_.size(), kNoSld);
   for (std::size_t k = 0; k < fqdn_sld.size(); ++k) {
     const auto rank = static_cast<std::uint32_t>(
         std::lower_bound(slds.begin(), slds.end(), fqdn_sld[k]) -
@@ -135,6 +132,7 @@ FlowDatabase::Indexes FlowDatabase::build_indexes() const {
   ranked.reserve(labeled.size());
   for (const auto i : labeled) ranked.push_back(pack(flow_sld[i], i));
   split(ranked, ix.sld, [&slds](std::uint32_t rank) { return slds[rank]; });
+  ix.flow_sld = std::move(flow_sld);
   return ix;
 }
 

@@ -5,6 +5,14 @@
 // port for Alg. 4) are not maintained on add(): they are built once, on the
 // first query, from the flows as they stand then.
 //
+// The same indexes hand the query layer dense ids to count by, so a query
+// fills flat vectors and makes strings only for the rows it returns. Each
+// labeled flow's SLD has a rank, 0 .. sld_count() - 1, among the distinct
+// SLDs of the labeled flows, and ranks are ordered like the names: rank a <
+// rank b exactly when sld_name(a) < sld_name(b). A tie broken by rank is
+// therefore the tie broken by name, and output order does not depend on
+// which of the two a query compares.
+//
 // FQDN storage is interned: every label lives once in the database's
 // DomainTable and flows carry a DomainId plus a string_view into the
 // table's arena. add() re-interns whatever text the caller supplies, so a
@@ -123,6 +131,35 @@ class FlowDatabase {
   /// Flows to a given destination (server) port (Alg. 4 line 4).
   std::span<const FlowIndex> by_server_port(std::uint16_t port) const;
 
+  /// sld_rank() of an unlabeled flow.
+  static constexpr std::uint32_t kNoSld = 0xffffffff;
+
+  /// Rank of flow `i`'s 2nd-level domain (see the header comment), or
+  /// kNoSld when the flow is unlabeled.
+  std::uint32_t sld_rank(FlowIndex i) const {
+    return indexes().flow_sld[i];
+  }
+  /// The 2nd-level domain of rank `rank`.
+  std::string_view sld_name(std::uint32_t rank) const {
+    return indexes().sld.keys[rank];
+  }
+  /// Distinct 2nd-level domains among the labeled flows.
+  std::size_t sld_count() const { return indexes().sld.keys.size(); }
+
+  /// Distinct server addresses, ascending.
+  std::span<const net::Ipv4Address> servers() const {
+    return indexes().server.keys;
+  }
+  /// Flows to servers()[k], ascending.
+  std::span<const FlowIndex> server_flows(std::size_t k) const {
+    return indexes().server.at(k);
+  }
+  /// The k for which servers()[k] is flow `i`'s server: ranks order like
+  /// the addresses.
+  std::uint32_t server_rank(FlowIndex i) const {
+    return indexes().flow_server[i];
+  }
+
  private:
   /// Flat CSR postings: `keys` ascending and distinct; the flows of
   /// keys[k] are rows[offsets[k] .. offsets[k + 1]), ascending.
@@ -132,12 +169,21 @@ class FlowDatabase {
     std::vector<FlowIndex> offsets;
     std::vector<FlowIndex> rows;
     std::span<const FlowIndex> find(const Key& key) const;
+    /// The flows of keys[k].
+    std::span<const FlowIndex> at(std::size_t k) const {
+      return {rows.data() + offsets[k], rows.data() + offsets[k + 1]};
+    }
   };
   struct Indexes {
     Postings<DomainId> fqdn;
     /// Keyed by views into the flows' arena text: building them never
-    /// writes the (possibly shared) DomainTable.
+    /// writes the (possibly shared) DomainTable. keys[rank] is the SLD of
+    /// that rank.
     Postings<std::string_view> sld;
+    /// Per flow: its SLD's rank, kNoSld when unlabeled.
+    std::vector<std::uint32_t> flow_sld;
+    /// Per flow: its server's index in server.keys.
+    std::vector<std::uint32_t> flow_server;
     Postings<net::Ipv4Address> server;
     Postings<std::uint16_t> port;
   };
@@ -148,7 +194,10 @@ class FlowDatabase {
   };
 
   /// The indexes, built on first use.
-  const Indexes& indexes() const;
+  const Indexes& indexes() const {
+    std::call_once(index_->once, [this] { index_->built = build_indexes(); });
+    return *index_->built;
+  }
   /// The one place the indexes are built.
   Indexes build_indexes() const;
   /// Forgets built indexes before the flows change.

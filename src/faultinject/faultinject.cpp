@@ -226,6 +226,11 @@ std::optional<FileFaultReport> corrupt_pcap_file(
   FileFaultReport report;
   std::vector<std::uint8_t> out(bytes.begin(), bytes.begin() + 24);
   std::size_t last_body_size = 0;
+  bool in_fault_run = false;
+  const auto fault = [&] {
+    if (!in_fault_run) ++report.fault_runs;
+    in_fault_run = true;
+  };
 
   std::size_t pos = 24;
   while (pos + 16 <= bytes.size()) {
@@ -242,6 +247,7 @@ std::optional<FileFaultReport> corrupt_pcap_file(
         out.push_back(static_cast<std::uint8_t>(rng.next_u64()));
       ++report.garbage_runs;
       report.garbage_bytes += run;
+      fault();
     }
 
     const std::size_t header_at = out.size();
@@ -253,8 +259,10 @@ std::optional<FileFaultReport> corrupt_pcap_file(
           0x10000000u | static_cast<std::uint32_t>(rng.uniform(0, 0xffffff));
       std::memcpy(out.data() + header_at + 8, &lie, 4);
       ++report.length_lies;
+      fault();
     } else {
       ++report.records_intact;
+      in_fault_run = false;
     }
     last_body_size = incl_len;
     pos += 16 + incl_len;

@@ -123,6 +123,9 @@ struct FileFaultReport {
   std::uint64_t garbage_runs = 0;
   std::uint64_t garbage_bytes = 0;
   std::uint64_t length_lies = 0;
+  /// Maximal runs of adjacent garbage runs and lying records (no intact
+  /// record between them): the resync scans a reader needs to skip them.
+  std::uint64_t fault_runs = 0;
   bool truncated_tail = false;
 
   /// Total discrete fault events injected (what resync stats should match).

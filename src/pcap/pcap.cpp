@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
 namespace dnh::pcap {
 namespace {
@@ -168,6 +169,14 @@ bool Reader::try_resync() {
   // its claimed end: from there on the rule above picks the fallback
   // whatever follows. That bounds the lookahead to 2 × (16 +
   // kMaxRecordBytes) + 16 bytes past the fallback.
+  //
+  // Damage before the first good record leaves no reference timestamp, so
+  // every gap reads 0 and a header seen one byte early (a 60-byte length
+  // reads as 15360) would keep the fallback over the genuine record that
+  // starts inside it. The unverified candidates met behind the fallback
+  // are remembered instead, and the first verified record stands in for
+  // the reference: the first of them that ends before it and lies within
+  // the timestamp window of it is taken.
   const std::uint64_t record_start = window_.offset();
   const auto accept = [&](std::size_t at) {
     window_.consume(at);
@@ -175,11 +184,14 @@ bool Reader::try_resync() {
     ++corruption_.resyncs;
     return true;
   };
-  const auto ts_gap = [&](std::uint32_t ts_sec) -> std::uint32_t {
-    if (!have_last_ts_) return 0;
-    return ts_sec > last_ts_sec_ ? ts_sec - last_ts_sec_
-                                 : last_ts_sec_ - ts_sec;
+  const auto gap = [](std::uint32_t a, std::uint32_t b) {
+    return a > b ? a - b : b - a;
   };
+  struct Unverified {
+    std::size_t at, end;
+    std::uint32_t ts_sec;
+  };
+  std::vector<Unverified> behind;  // held only without a reference
   std::size_t at = 1;            // candidate, past the read position
   std::size_t fallback_end = 0;  // 0: no fallback (else at the position)
   std::uint32_t fallback_gap = 0;
@@ -192,16 +204,26 @@ bool Reader::try_resync() {
     const RecordHeader cand = load_header(window_.data() + at, swapped_);
     if (plausible_candidate(cand.ts_sec, cand.ts_frac, cand.incl_len,
                             cand.orig_len)) {
-      if (chain_ok(at, cand.ts_sec, cand.incl_len)) return accept(at);
+      if (chain_ok(at, cand.ts_sec, cand.incl_len)) {
+        for (const auto& u : behind)
+          if (u.end <= at &&
+              gap(u.ts_sec, cand.ts_sec) <= kResyncTsWindowSeconds)
+            return accept(u.at);
+        return accept(at);
+      }
       // chain_ok filled past this body, or hit EOF: available() decides
       // whether the claimed body fits in what is left.
       const std::size_t body_end = at + sizeof(RecordHeader) + cand.incl_len;
-      const std::uint32_t gap = ts_gap(cand.ts_sec);
-      if (body_end <= window_.available() &&
-          (fallback_end == 0 || gap < fallback_gap)) {
+      const std::uint32_t cand_gap =
+          have_last_ts_ ? gap(cand.ts_sec, last_ts_sec_) : 0;
+      if (body_end > window_.available()) {
+        // The claimed body overruns the stream: not a fallback.
+      } else if (fallback_end != 0 && !have_last_ts_) {
+        behind.push_back({at, body_end, cand.ts_sec});
+      } else if (fallback_end == 0 || cand_gap < fallback_gap) {
         window_.consume(at);  // the position moves onto the new fallback
         fallback_end = body_end - at;
-        fallback_gap = gap;
+        fallback_gap = cand_gap;
         at = 0;
       }
     }

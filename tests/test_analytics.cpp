@@ -873,3 +873,407 @@ TEST(Tangle, UnlabeledFlowsIgnored) {
 
 }  // namespace
 }  // namespace dnh::analytics
+
+// ------------------------------------------------------- query oracle
+//
+// The batch queries count by dense ids (SLD rank, DomainId, server rank).
+// The string-keyed implementations they replaced are kept here verbatim
+// as the oracle: both must return the same rows, in the same order, with
+// the same scores to the last bit.
+
+#include <cmath>
+#include <map>
+#include <set>
+#include <unordered_map>
+
+#include "trafficgen/profiles.hpp"
+#include "trafficgen/simulator.hpp"
+
+namespace dnh::analytics {
+namespace {
+namespace oracle {
+
+ContentReport build_report(
+    const core::FlowDatabase& db,
+    const std::vector<std::span<const core::FlowDatabase::FlowIndex>>&
+        flow_lists,
+    std::string provider, std::size_t top_k, bool fqdn_granularity) {
+  ContentReport report;
+  report.provider = std::move(provider);
+  std::map<std::string, std::uint64_t> counts;
+  std::set<std::string> fqdns;
+  for (const auto list : flow_lists) {
+    for (const auto index : list) {
+      const auto& flow = db.flow(index);
+      if (!flow.labeled()) continue;
+      ++report.total_flows;
+      fqdns.emplace(flow.fqdn);
+      const std::string key = std::string{
+          fqdn_granularity ? flow.fqdn : flow.second_level()};
+      ++counts[key];
+    }
+  }
+  report.distinct_fqdns = fqdns.size();
+  report.domains.reserve(counts.size());
+  for (const auto& [name, flows] : counts) {
+    report.domains.push_back(
+        {name, flows,
+         report.total_flows ? static_cast<double>(flows) /
+                                  static_cast<double>(report.total_flows)
+                            : 0.0});
+  }
+  std::sort(report.domains.begin(), report.domains.end(),
+            [](const HostedDomain& a, const HostedDomain& b) {
+              if (a.flows != b.flows) return a.flows > b.flows;
+              return a.name < b.name;
+            });
+  if (top_k > 0 && report.domains.size() > top_k)
+    report.domains.resize(top_k);
+  return report;
+}
+
+ContentReport content_discovery(const core::FlowDatabase& db,
+                                const std::set<net::Ipv4Address>& servers,
+                                std::size_t top_k, bool fqdn_granularity) {
+  std::vector<std::span<const core::FlowDatabase::FlowIndex>> lists;
+  lists.reserve(servers.size());
+  for (const auto server : servers) lists.push_back(db.by_server(server));
+  return build_report(db, lists, "custom-set", top_k, fqdn_granularity);
+}
+
+ContentReport content_discovery_by_provider(const core::FlowDatabase& db,
+                                            const orgdb::OrgDb& orgs,
+                                            const std::string& provider,
+                                            std::size_t top_k,
+                                            bool fqdn_granularity) {
+  std::set<net::Ipv4Address> servers;
+  for (const auto& flow : db.flows()) {
+    if (servers.count(flow.key.server_ip)) continue;
+    if (orgs.lookup_or(flow.key.server_ip) == provider)
+      servers.insert(flow.key.server_ip);
+  }
+  auto report = content_discovery(db, servers, top_k, fqdn_granularity);
+  report.provider = provider;
+  return report;
+}
+
+TangleReport tangle_graph(const core::FlowDatabase& db, std::size_t top_k,
+                          std::size_t min_shared) {
+  std::map<net::Ipv4Address, std::set<std::string>> orgs_on_server;
+  std::map<std::string, std::set<net::Ipv4Address>> servers_of_org;
+  for (const auto& flow : db.flows()) {
+    if (!flow.labeled()) continue;
+    const std::string sld{flow.second_level()};
+    orgs_on_server[flow.key.server_ip].insert(sld);
+    servers_of_org[sld].insert(flow.key.server_ip);
+  }
+  TangleReport report;
+  report.organizations = servers_of_org.size();
+  std::map<std::pair<std::string, std::string>, std::size_t> shared;
+  std::set<std::string> entangled;
+  for (const auto& [server, orgs] : orgs_on_server) {
+    if (orgs.size() < 2) continue;
+    ++report.multi_tenant_servers;
+    for (auto a = orgs.begin(); a != orgs.end(); ++a) {
+      entangled.insert(*a);
+      for (auto b = std::next(a); b != orgs.end(); ++b)
+        ++shared[{*a, *b}];
+    }
+  }
+  report.entangled_orgs = entangled.size();
+  report.pairs.reserve(shared.size());
+  for (const auto& [pair, count] : shared) {
+    if (count < min_shared) continue;
+    TanglePair edge;
+    edge.org_a = pair.first;
+    edge.org_b = pair.second;
+    edge.shared_servers = count;
+    edge.servers_a = servers_of_org[pair.first].size();
+    edge.servers_b = servers_of_org[pair.second].size();
+    report.pairs.push_back(std::move(edge));
+  }
+  std::sort(report.pairs.begin(), report.pairs.end(),
+            [](const TanglePair& a, const TanglePair& b) {
+              if (a.shared_servers != b.shared_servers)
+                return a.shared_servers > b.shared_servers;
+              return std::tie(a.org_a, a.org_b) < std::tie(b.org_a, b.org_b);
+            });
+  if (top_k > 0 && report.pairs.size() > top_k) report.pairs.resize(top_k);
+  return report;
+}
+
+std::vector<RankedServer> rank_servers(
+    const core::FlowDatabase& db, const orgdb::OrgDb& orgs,
+    std::span<const core::FlowDatabase::FlowIndex> flows) {
+  std::map<net::Ipv4Address, std::uint64_t> counts;
+  for (const auto index : flows) ++counts[db.flow(index).key.server_ip];
+  std::vector<RankedServer> out;
+  out.reserve(counts.size());
+  for (const auto& [server, count] : counts)
+    out.push_back({server, count, orgs.lookup_or(server)});
+  std::sort(out.begin(), out.end(),
+            [](const RankedServer& a, const RankedServer& b) {
+              if (a.flows != b.flows) return a.flows > b.flows;
+              return a.server < b.server;
+            });
+  return out;
+}
+
+SpatialReport spatial_discovery(const core::FlowDatabase& db,
+                                const orgdb::OrgDb& orgs,
+                                const std::string& fqdn) {
+  SpatialReport report;
+  report.fqdn = fqdn;
+  report.second_level = std::string{dns::second_level_domain(fqdn)};
+  report.fqdn_servers = rank_servers(db, orgs, db.by_fqdn(fqdn));
+  report.organization_servers =
+      rank_servers(db, orgs, db.by_second_level(report.second_level));
+  return report;
+}
+
+std::vector<HostingSummary> hosting_breakdown(const core::FlowDatabase& db,
+                                              const orgdb::OrgDb& orgs,
+                                              const std::string& sld) {
+  struct Acc {
+    std::set<net::Ipv4Address> servers;
+    std::uint64_t flows = 0;
+  };
+  std::map<std::string, Acc> accs;
+  std::uint64_t total = 0;
+  for (const auto index : db.by_second_level(sld)) {
+    const auto& flow = db.flow(index);
+    Acc& acc = accs[orgs.lookup_or(flow.key.server_ip)];
+    acc.servers.insert(flow.key.server_ip);
+    ++acc.flows;
+    ++total;
+  }
+  std::vector<HostingSummary> out;
+  for (const auto& [host, acc] : accs) {
+    out.push_back({host, acc.servers.size(), acc.flows,
+                   total ? static_cast<double>(acc.flows) /
+                               static_cast<double>(total)
+                         : 0.0});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const HostingSummary& a, const HostingSummary& b) {
+              return a.flows > b.flows;
+            });
+  return out;
+}
+
+std::vector<ServiceTag> rank(
+    const std::map<std::string,
+                   std::unordered_map<std::uint32_t, std::uint64_t>>&
+        per_token_client_counts,
+    const TagExtractionOptions& options) {
+  std::vector<ServiceTag> tags;
+  tags.reserve(per_token_client_counts.size());
+  for (const auto& [token, clients] : per_token_client_counts) {
+    double score = 0.0;
+    for (const auto& [client, count] : clients) {
+      score += options.raw_counts
+                   ? static_cast<double>(count)
+                   : std::log(static_cast<double>(count) + 1.0);
+    }
+    tags.push_back({token, score});
+  }
+  std::sort(tags.begin(), tags.end(),
+            [](const ServiceTag& a, const ServiceTag& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.token < b.token;
+            });
+  if (options.top_k > 0 && tags.size() > options.top_k)
+    tags.resize(options.top_k);
+  return tags;
+}
+
+std::vector<ServiceTag> extract_tags_for_flows(
+    const core::FlowDatabase& db,
+    std::span<const core::FlowDatabase::FlowIndex> flows,
+    const TagExtractionOptions& options) {
+  std::map<std::string, std::unordered_map<std::uint32_t, std::uint64_t>>
+      counts;
+  for (const auto index : flows) {
+    const auto& flow = db.flow(index);
+    if (!flow.labeled()) continue;
+    for (const auto& token : fqdn_tokens(flow.fqdn))
+      ++counts[token][flow.key.client_ip.value()];
+  }
+  return rank(counts, options);
+}
+
+}  // namespace oracle
+
+void expect_same(const ContentReport& want, const ContentReport& got) {
+  EXPECT_EQ(want.provider, got.provider);
+  EXPECT_EQ(want.total_flows, got.total_flows);
+  EXPECT_EQ(want.distinct_fqdns, got.distinct_fqdns);
+  ASSERT_EQ(want.domains.size(), got.domains.size());
+  for (std::size_t i = 0; i < want.domains.size(); ++i) {
+    EXPECT_EQ(want.domains[i].name, got.domains[i].name) << i;
+    EXPECT_EQ(want.domains[i].flows, got.domains[i].flows) << i;
+    EXPECT_EQ(want.domains[i].flow_share, got.domains[i].flow_share) << i;
+  }
+}
+
+void expect_same(const TangleReport& want, const TangleReport& got) {
+  EXPECT_EQ(want.organizations, got.organizations);
+  EXPECT_EQ(want.entangled_orgs, got.entangled_orgs);
+  EXPECT_EQ(want.multi_tenant_servers, got.multi_tenant_servers);
+  ASSERT_EQ(want.pairs.size(), got.pairs.size());
+  for (std::size_t i = 0; i < want.pairs.size(); ++i) {
+    EXPECT_EQ(want.pairs[i].org_a, got.pairs[i].org_a) << i;
+    EXPECT_EQ(want.pairs[i].org_b, got.pairs[i].org_b) << i;
+    EXPECT_EQ(want.pairs[i].shared_servers, got.pairs[i].shared_servers) << i;
+    EXPECT_EQ(want.pairs[i].servers_a, got.pairs[i].servers_a) << i;
+    EXPECT_EQ(want.pairs[i].servers_b, got.pairs[i].servers_b) << i;
+  }
+}
+
+void expect_same(const std::vector<RankedServer>& want,
+                 const std::vector<RankedServer>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].server, got[i].server) << i;
+    EXPECT_EQ(want[i].flows, got[i].flows) << i;
+    EXPECT_EQ(want[i].organization, got[i].organization) << i;
+  }
+}
+
+void expect_same(const std::vector<HostingSummary>& want,
+                 const std::vector<HostingSummary>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].host_org, got[i].host_org) << i;
+    EXPECT_EQ(want[i].servers, got[i].servers) << i;
+    EXPECT_EQ(want[i].flows, got[i].flows) << i;
+    EXPECT_EQ(want[i].flow_share, got[i].flow_share) << i;
+  }
+}
+
+void expect_same(const std::vector<ServiceTag>& want,
+                 const std::vector<ServiceTag>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].token, got[i].token) << i;
+    EXPECT_EQ(want[i].score, got[i].score) << i;  // exact, not a tolerance
+  }
+}
+
+/// Runs every query both ways over `db`: each server port, each FQDN and
+/// SLD, each provider `orgs` knows plus "unknown", at several top_k.
+void expect_queries_match(const FlowDatabase& db, const orgdb::OrgDb& orgs) {
+  std::set<std::uint16_t> ports;
+  std::set<std::string> fqdns;
+  std::set<std::string> providers{"unknown", "no-such-provider"};
+  for (const auto& f : db.flows()) {
+    ports.insert(f.key.server_port);
+    if (f.labeled()) fqdns.emplace(f.fqdn);
+  }
+  for (const auto& range : orgs.ranges()) providers.insert(range.organization);
+
+  for (const auto port : ports) {
+    for (const TagExtractionOptions options :
+         {TagExtractionOptions{}, TagExtractionOptions{0, false},
+          TagExtractionOptions{3, true}}) {
+      SCOPED_TRACE(port);
+      expect_same(
+          oracle::extract_tags_for_flows(db, db.by_server_port(port), options),
+          extract_service_tags(db, port, options));
+    }
+  }
+  for (const auto& fqdn : fqdns) {
+    SCOPED_TRACE(fqdn);
+    const auto want = oracle::spatial_discovery(db, orgs, fqdn);
+    const auto got = spatial_discovery(db, orgs, fqdn);
+    EXPECT_EQ(want.second_level, got.second_level);
+    expect_same(want.fqdn_servers, got.fqdn_servers);
+    expect_same(want.organization_servers, got.organization_servers);
+    expect_same(oracle::hosting_breakdown(db, orgs, want.second_level),
+                hosting_breakdown(db, orgs, want.second_level));
+  }
+  for (const auto& provider : providers) {
+    for (const std::size_t top_k : {0, 1, 10}) {
+      for (const bool fine : {false, true}) {
+        SCOPED_TRACE(provider + " top_k " + std::to_string(top_k) +
+                     (fine ? " fqdn" : " sld"));
+        expect_same(oracle::content_discovery_by_provider(db, orgs, provider,
+                                                          top_k, fine),
+                    content_discovery_by_provider(db, orgs, provider, top_k,
+                                                  fine));
+      }
+    }
+  }
+  std::set<Ipv4Address> some_servers;
+  for (std::size_t i = 0; i < db.size(); i += 7)
+    some_servers.insert(db.flow(static_cast<std::uint32_t>(i)).key.server_ip);
+  for (const bool fine : {false, true})
+    expect_same(oracle::content_discovery(db, some_servers, 10, fine),
+                content_discovery(db, some_servers, 10, fine));
+  for (const std::size_t top_k : {0, 20})
+    for (const std::size_t min_shared : {1, 2, 3})
+      expect_same(oracle::tangle_graph(db, top_k, min_shared),
+                  tangle_graph(db, top_k, min_shared));
+}
+
+TEST(QueryOracle, MatchesOnGeneratedTraffic) {
+  for (const auto& make :
+       {trafficgen::profile_eu1_adsl2, trafficgen::profile_us_3g}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      auto profile = make();
+      profile.name = "oracle";
+      profile.duration = Duration::minutes(60);
+      profile.n_clients = 200;
+      profile.world.tail_organizations = 120;
+      profile.seed = profile.seed * 1'000'003ULL + seed;
+      SCOPED_TRACE(profile.name + " seed " + std::to_string(seed));
+      trafficgen::Simulator sim{profile};
+      const auto trace = sim.run_events();
+      ASSERT_GT(trace.db.size(), 100u);
+      expect_queries_match(trace.db, sim.world().org_db());
+    }
+  }
+}
+
+TEST(QueryOracle, EmptyDatabase) {
+  const FlowDatabase db;
+  expect_queries_match(db, test_orgs());
+  EXPECT_TRUE(content_discovery_by_provider(db, test_orgs(), "unknown")
+                  .domains.empty());
+  EXPECT_EQ(tangle_graph(db).organizations, 0u);
+}
+
+TEST(QueryOracle, OnlyUnlabeledFlows) {
+  FlowDatabase db;
+  db.add(flow("", kC1, kAmazon1, 6881));
+  db.add(flow("", kC2, kAkamai1, 6882));
+  db.add(flow("", kC2, Ipv4Address{192, 0, 2, 1}, 80));
+  expect_queries_match(db, test_orgs());
+  EXPECT_EQ(content_discovery_by_provider(db, test_orgs(), "unknown")
+                .total_flows,
+            0u);
+}
+
+TEST(QueryOracle, TiesBreakByNameNotByInsertionOrder) {
+  // Interned (DomainId) order is the reverse of name order, and every
+  // count ties, so only a by-name tie-break gives the oracle's rows.
+  FlowDatabase db;
+  const Ipv4Address unknown_server{192, 0, 2, 9};
+  for (const auto* name : {"z.zeta.com", "y.eta.com", "b.beta.com",
+                           "a.alpha.com", "a.beta.com", "x.eta.com"}) {
+    for (const auto server : {kAmazon1, kAkamai2, unknown_server}) {
+      db.add(flow(name, kC1, server, 443));
+      db.add(flow(name, kC2, server, 80));
+    }
+  }
+  db.add(flow("", kC1, kAmazon1, 443));
+  expect_queries_match(db, test_orgs());
+  const auto report =
+      content_discovery_by_provider(db, test_orgs(), "unknown", 2, true);
+  ASSERT_EQ(report.domains.size(), 2u);
+  EXPECT_EQ(report.domains[0].name, "a.alpha.com");
+  EXPECT_EQ(report.domains[1].name, "a.beta.com");
+}
+
+}  // namespace
+}  // namespace dnh::analytics

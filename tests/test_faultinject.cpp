@@ -328,6 +328,43 @@ TEST_F(FaultInjectTest, CombinedFaultsMeetTheRecoveryFloor) {
   EXPECT_LE(stats.events(), report->faults());
 }
 
+TEST_F(FaultInjectTest, DamageBeforeFirstRecordKeepsRecordZero) {
+  // Garbage before record 0 leaves the reader no reference timestamp, so
+  // record 0's header seen one byte early (its 60-byte length reads as
+  // 15360) is a plausible candidate whose claimed body covers the records
+  // after it. Record 0 must still be the one recovered.
+  const std::string src = path("clean.pcap");
+  const std::uint64_t total = write_capture(src, 20'000);
+  for (const std::uint64_t seed : {9u, 21u}) {
+    SCOPED_TRACE(seed);
+    const std::string dst = path("damaged.pcap");
+    FileFaultConfig config;
+    config.seed = seed;
+    config.garbage_run_rate = 0.1;
+    config.length_lie_rate = 0.05;
+    const auto report = corrupt_pcap_file(src, dst, config);
+    ASSERT_TRUE(report);
+    ASSERT_EQ(report->records_in, total);
+
+    auto reader = pcap::Reader::open(dst, pcap::Reader::Mode::kResync);
+    ASSERT_TRUE(reader);
+    const auto first = reader->next();
+    ASSERT_TRUE(first);
+    EXPECT_EQ(first->timestamp, util::Timestamp::from_micros(1'000'000'000));
+    EXPECT_EQ(first->data.at(0), 0);
+    std::uint64_t frames = 1;
+    while (reader->next()) ++frames;
+    EXPECT_TRUE(reader->error().empty());
+    const auto stats = reader->corruption();
+    EXPECT_EQ(frames, report->records_intact);
+    // Every lying record (a 16-byte header plus its 60-byte body) and every
+    // garbage byte is skipped, and nothing else.
+    EXPECT_EQ(stats.bytes_skipped,
+              report->garbage_bytes + report->length_lies * 76);
+    EXPECT_EQ(stats.resyncs, report->fault_runs);
+  }
+}
+
 TEST_F(FaultInjectTest, RejectsMissingOrNonClassicSource) {
   EXPECT_FALSE(corrupt_pcap_file(path("absent.pcap"), path("out.pcap"), {}));
   const std::string bogus = path("bogus.pcap");
