@@ -26,8 +26,8 @@
 // usual rule — windows move between threads through a mutex-guarded
 // inbox, which provides the happens-before edge, and only one thread
 // touches a table at a time. The merge stage unifies shard-local ids by
-// re-interning every row into the output window's table (see
-// pipeline::merge).
+// remapping each distinct name once per part into the output window's
+// table (see pipeline::merge).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,7 @@ namespace dnh::core {
 
 /// Dense handle for one interned domain name. Stable for the lifetime of
 /// the DomainTable that minted it; meaningless across tables (the merge
-/// stage re-interns — see pipeline::merge).
+/// stage remaps — see pipeline::merge).
 using DomainId = std::uint32_t;
 
 /// Id of the empty string in every table: the "no label" value.

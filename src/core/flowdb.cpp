@@ -11,14 +11,10 @@ std::string_view TaggedFlow::second_level() const {
 }
 
 // dnh-analyze: hot
-FlowDatabase::FlowIndex FlowDatabase::add(TaggedFlow flow) {
+FlowDatabase::FlowIndex FlowDatabase::append(TaggedFlow&& flow) {
   // dnh-lint: hot
   drop_indexes();
   const FlowIndex index = static_cast<FlowIndex>(flows_.size());
-  // Re-intern: after this, the flow's label lives in OUR arena regardless
-  // of where the caller staged it (sniffer scratch, TSV line, another
-  // shard's table).
-  flow.fqdn_id = table_->intern(flow.fqdn);
   flow.fqdn = table_->view(flow.fqdn_id);
   flows_.push_back(std::move(flow));
   return index;

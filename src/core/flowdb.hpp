@@ -97,13 +97,20 @@ class FlowDatabase {
   /// Adds a flow: its fqdn text is interned into this database's
   /// DomainTable and its view/id rebound to the arena copy. Returns the
   /// flow's index.
-  FlowIndex add(TaggedFlow flow);
+  FlowIndex add(TaggedFlow flow) {
+    flow.fqdn_id = table_->intern(flow.fqdn);
+    return append(std::move(flow));
+  }
+
+  /// add() for a flow whose fqdn_id this database's table already minted:
+  /// no intern; the view is rebound to the table's text.
+  FlowIndex append(TaggedFlow&& flow);
+
+  void reserve(std::size_t flows) { flows_.reserve(flows); }
 
   /// Moves every flow out and resets the database. The DomainTable is
-  /// retained — the moved-out flows' fqdn views point into it, so
-  /// re-adding them (the merge stage, canonicalize()) stays valid. Used
-  /// by the parallel pipeline's merge stage to re-add per-shard flows in
-  /// canonical order without copying them.
+  /// retained: the moved-out flows' fqdn views and ids point into it, so
+  /// canonicalize() and the merge stage re-append them without copies.
   std::vector<TaggedFlow> take_flows();
 
   /// The interner backing this database's fqdn views.

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "util/strings.hpp"
 
@@ -11,15 +10,6 @@ namespace dnh::core {
 namespace {
 
 constexpr std::string_view kHeader = "#dnhunter-flows v1";
-
-std::string join_san(const std::vector<std::string>& san) {
-  std::string out;
-  for (const auto& name : san) {
-    if (!out.empty()) out += ',';
-    out += name;
-  }
-  return out;
-}
 
 template <typename T>
 bool parse_int(std::string_view field, T& out) {
@@ -32,25 +22,44 @@ bool parse_int(std::string_view field, T& out) {
 }  // namespace
 
 std::size_t write_flow_tsv(const FlowDatabase& db, std::ostream& out) {
-  out << kHeader << '\n'
-      << "#client_ip\tserver_ip\tclient_port\tserver_port\ttransport\t"
-         "first_us\tlast_us\tpkts_c2s\tpkts_s2c\tbytes_c2s\tbytes_s2c\t"
-         "protocol\tfqdn\tdns_response_us\ttagged_at_start\tdpi_label\t"
-         "cert_cn\tcert_san\thas_certificate\n";
+  // to_chars into one reused buffer, handed on in 64 KiB writes.
+  constexpr std::size_t kFlushAt = 64 * 1024;
+  std::string buf;
+  buf.append(kHeader).append(
+      "\n#client_ip\tserver_ip\tclient_port\tserver_port\ttransport\t"
+      "first_us\tlast_us\tpkts_c2s\tpkts_s2c\tbytes_c2s\tbytes_s2c\t"
+      "protocol\tfqdn\tdns_response_us\ttagged_at_start\tdpi_label\t"
+      "cert_cn\tcert_san\thas_certificate\n");
+  char text[24];
+  const auto put = [&buf, &text](const char* end) {  // text..end, a tab
+    buf.append(text, static_cast<std::size_t>(end - text)) += '\t';
+  };
+  const auto numbers = [&](auto... v) {  // each, then a tab
+    (put(std::to_chars(text, std::end(text), v).ptr), ...);
+  };
+  const auto flush = [&] {
+    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+  };
   for (const auto& flow : db.flows()) {
-    out << flow.key.client_ip.to_string() << '\t'
-        << flow.key.server_ip.to_string() << '\t' << flow.key.client_port
-        << '\t' << flow.key.server_port << '\t'
-        << (flow.key.transport == flow::Transport::kTcp ? "tcp" : "udp")
-        << '\t' << flow.first_packet.micros_since_epoch() << '\t'
-        << flow.last_packet.micros_since_epoch() << '\t' << flow.packets_c2s
-        << '\t' << flow.packets_s2c << '\t' << flow.bytes_c2s << '\t'
-        << flow.bytes_s2c << '\t' << static_cast<int>(flow.protocol) << '\t'
-        << flow.fqdn << '\t' << flow.dns_response_time.micros_since_epoch()
-        << '\t' << (flow.tagged_at_start ? 1 : 0) << '\t' << flow.dpi_label
-        << '\t' << flow.cert_cn << '\t' << join_san(flow.cert_san) << '\t'
-        << (flow.has_certificate ? 1 : 0) << '\n';
+    put(flow.key.client_ip.format(text));
+    put(flow.key.server_ip.format(text));
+    numbers(flow.key.client_port, flow.key.server_port);
+    buf += flow.key.transport == flow::Transport::kTcp ? "tcp\t" : "udp\t";
+    numbers(flow.first_packet.micros_since_epoch(),
+            flow.last_packet.micros_since_epoch(), flow.packets_c2s,
+            flow.packets_s2c, flow.bytes_c2s, flow.bytes_s2c,
+            static_cast<int>(flow.protocol));
+    buf.append(flow.fqdn) += '\t';
+    numbers(flow.dns_response_time.micros_since_epoch());
+    buf += flow.tagged_at_start ? "1\t" : "0\t";
+    buf.append(flow.dpi_label).append(1, '\t').append(flow.cert_cn) += '\t';
+    for (std::size_t i = 0; i < flow.cert_san.size(); ++i)
+      buf.append(i > 0 ? "," : "").append(flow.cert_san[i]);
+    buf += flow.has_certificate ? "\t1\n" : "\t0\n";
+    if (buf.size() >= kFlushAt) flush();
   }
+  flush();
   return db.size();
 }
 

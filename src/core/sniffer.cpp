@@ -474,7 +474,7 @@ void Sniffer::on_flow_export(flow::FlowRecord&& flow) {
       tagged.cert_san = info->san_dns;
     }
   }
-  database_.add(std::move(tagged));
+  database_.append(std::move(tagged));
 }
 
 bool Sniffer::process_pcap(const std::string& path) {

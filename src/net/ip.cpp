@@ -1,5 +1,6 @@
 #include "net/ip.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 #include "util/strings.hpp"
@@ -22,10 +23,16 @@ std::optional<Ipv4Address> Ipv4Address::parse(std::string_view s) {
 }
 
 std::string Ipv4Address::to_string() const {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", octet(0), octet(1), octet(2),
-                octet(3));
-  return buf;
+  char buf[15];
+  return {buf, format(buf)};
+}
+
+char* Ipv4Address::format(char* out) const noexcept {
+  for (int i = 0; i < 4; ++i) {
+    if (i > 0) *out++ = '.';
+    out = std::to_chars(out, out + 3, unsigned{octet(i)}).ptr;
+  }
+  return out;
 }
 
 std::string Ipv4Address::reverse_name() const {

@@ -35,6 +35,9 @@ class Ipv4Address {
   }
 
   std::string to_string() const;
+  /// Writes the dotted quad (at most 15 bytes) at `out` and returns the
+  /// end: to_string() without the allocation, for bulk writers.
+  char* format(char* out) const noexcept;
 
   /// The in-addr.arpa name used for reverse (PTR) lookups.
   std::string reverse_name() const;

@@ -172,7 +172,8 @@ void canonicalize(core::FlowDatabase& db) {
   std::vector<core::TaggedFlow> flows = db.take_flows();
   std::sort(flows.begin(), flows.end(),
             [](const auto& a, const auto& b) { return canonical_less(a, b); });
-  for (auto& flow : flows) db.add(std::move(flow));
+  db.reserve(flows.size());
+  for (auto& flow : flows) db.append(std::move(flow));
 }
 
 void canonicalize(std::vector<core::DnsEvent>& log) {
@@ -182,14 +183,14 @@ void canonicalize(std::vector<core::DnsEvent>& log) {
 
 namespace {
 
-/// Hands every element of the canonically sorted `runs` to `emit`, moved
-/// out, in canonical order. Index-heap pattern: the heap holds run
-/// indices keyed by each run's current head; an index is popped, its head
-/// consumed and the index re-pushed, so a key only changes while its index
-/// is out of the heap. Equal keys under canonical_less are value-identical
-/// rows, so pop order among ties cannot change a single output byte —
-/// which is why merging sorted runs reproduces the global canonical sort
-/// exactly. Only merge() calls this: it owns the id remap.
+/// Hands every element of the canonically sorted `runs`, moved out, to
+/// `emit(run, row)` in canonical order. Index-heap pattern: the heap holds
+/// run indices keyed by each run's current head; an index is popped, its
+/// head consumed and the index re-pushed, so a key only changes while its
+/// index is out of the heap. Equal keys under canonical_less are
+/// value-identical rows, so pop order among ties cannot change a single
+/// output byte — which is why merging sorted runs reproduces the global
+/// canonical sort exactly. Only merge() calls this: it owns the id remap.
 // dnh-analyze: merge-boundary
 template <typename Row, typename Emit>
 void kway_merge(std::vector<std::vector<Row>>& runs, Emit emit) {
@@ -205,15 +206,15 @@ void kway_merge(std::vector<std::vector<Row>>& runs, Emit emit) {
   while (!heap.empty()) {
     const std::size_t i = heap.top();
     heap.pop();
-    emit(std::move(runs[i][pos[i]]));
+    emit(i, std::move(runs[i][pos[i]]));
     if (++pos[i] < runs[i].size()) heap.push(i);
   }
 }
 
 }  // namespace
 
-// dnh-analyze: id-remap(every flow and event is re-interned into the
-// output window's fresh table as the k-way merge emits it)
+// dnh-analyze: id-remap(each part's DomainIds are remapped into the output
+// window's fresh table, one intern per distinct name per part)
 core::AnalysisWindow merge(std::vector<core::AnalysisWindow> parts) {
   core::AnalysisWindow out;
   if (parts.empty()) return out;
@@ -221,28 +222,41 @@ core::AnalysisWindow merge(std::vector<core::AnalysisWindow> parts) {
   out.end = parts.front().end;
   std::vector<std::vector<core::TaggedFlow>> flows;
   std::vector<std::vector<core::DnsEvent>> events;
-  flows.reserve(parts.size());
-  events.reserve(parts.size());
-  std::size_t event_total = 0;
+  // remap[p][id]: part p's id in the output, minted on first use (the order
+  // a per-row intern gives). Sized from the rows, never from the part's
+  // table: a shard window's table is its worker's, still interning.
+  constexpr core::DomainId kUnmapped = ~core::DomainId{0};
+  std::vector<std::vector<core::DomainId>> remap(parts.size());
+  std::size_t flow_total = 0, event_total = 0;
   for (auto& part : parts) {
     out.start = std::min(out.start, part.start);
     out.end = std::max(out.end, part.end);
     // The moved-out rows' fqdn views stay valid: each part's db keeps its
     // DomainTable, and `parts` outlives the merge.
+    flow_total += part.db.size();
     flows.push_back(part.db.take_flows());
     event_total += part.dns_log.size();
     events.push_back(std::move(part.dns_log));
   }
+  out.db.reserve(flow_total);
   out.dns_log.reserve(event_total);
 
-  // A part's DomainIds are meaningless in the output: add() re-interns
-  // each flow's label into out's table, and each event is rebound here.
-  kway_merge(flows,
-             [&out](core::TaggedFlow&& flow) { out.db.add(std::move(flow)); });
   core::DomainTable& table = *out.db.domain_table();
-  kway_merge(events, [&out, &table](core::DnsEvent&& event) {
-    event.fqdn_id = table.intern(event.fqdn);
-    event.fqdn = table.view(event.fqdn_id);
+  const auto rebind = [&](std::size_t part, auto& row) {
+    std::vector<core::DomainId>& ids = remap[part];
+    if (row.fqdn_id >= ids.size())
+      ids.resize(std::size_t{row.fqdn_id} + 1, kUnmapped);
+    core::DomainId& id = ids[row.fqdn_id];
+    if (id == kUnmapped) id = table.intern(row.fqdn);
+    row.fqdn_id = id;
+    row.fqdn = table.view(id);
+  };
+  kway_merge(flows, [&](std::size_t part, core::TaggedFlow&& flow) {
+    rebind(part, flow);
+    out.db.append(std::move(flow));
+  });
+  kway_merge(events, [&](std::size_t part, core::DnsEvent&& event) {
+    rebind(part, event);
     out.dns_log.push_back(std::move(event));
   });
   return out;

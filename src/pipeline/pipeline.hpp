@@ -204,8 +204,8 @@ inline void canonicalize(core::AnalysisWindow& window) {
 /// window: a k-way merge of their flow runs and of their DNS-event runs,
 /// never a re-sort. Parts may be a shard's sealed slices of one window,
 /// windows recovered from spill or consecutive merged windows; each part's
-/// labels may live in any DomainTable (the part keeps it alive), and every
-/// flow and event is re-interned once into the result's own fresh table.
+/// labels may live in any DomainTable (the part keeps it alive), and each
+/// distinct name is remapped once per part into the result's fresh table.
 /// The result spans the earliest part start to the latest part end; no
 /// parts yields an empty window.
 core::AnalysisWindow merge(std::vector<core::AnalysisWindow> parts);

@@ -97,24 +97,25 @@ std::string crc_hex(std::string_view body) {
 /// Serializes one window into the framed-record payload text.
 std::string encode_payload(std::uint64_t seq,
                            const core::AnalysisWindow& window) {
-  std::ostringstream out;
-  out << kWindowMeta << '\t' << seq << '\t'
-      << window.start.micros_since_epoch() << '\t'
-      << window.end.micros_since_epoch() << '\n';
-  core::write_flow_tsv(window.db, out);
-  out << kDnsHeader << '\n';
+  std::ostringstream flows;
+  flows << kWindowMeta << '\t' << seq << '\t'
+        << window.start.micros_since_epoch() << '\t'
+        << window.end.micros_since_epoch() << '\n';
+  core::write_flow_tsv(window.db, flows);
+  std::string out = std::move(flows).str();
+  out.append(kDnsHeader) += '\n';
+  char buf[24];
   for (const auto& event : window.dns_log) {
-    out << event.time.micros_since_epoch() << '\t'
-        << event.client.to_string() << '\t' << event.fqdn << '\t';
-    bool first = true;
-    for (const auto& server : event.servers) {
-      if (!first) out << ',';
-      out << server.to_string();
-      first = false;
-    }
-    out << '\n';
+    out.append(buf, std::to_chars(buf, std::end(buf),
+                                  event.time.micros_since_epoch()).ptr) += '\t';
+    out.append(buf, event.client.format(buf)) += '\t';
+    out.append(event.fqdn) += '\t';
+    for (const auto& server : event.servers)
+      out.append(buf, server.format(buf)) += ',';
+    if (!event.servers.empty()) out.pop_back();  // the last ','
+    out += '\n';
   }
-  return std::move(out).str();
+  return out;
 }
 
 }  // namespace

@@ -19,6 +19,25 @@ std::string StallDiagnostic::to_string() const {
   return std::move(out).str();
 }
 
+bool QuietClock::stalled(Clock::time_point now,
+                         const std::function<bool(std::string&)>& pending,
+                         std::string& what) {
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::uint64_t count = board.count(i);
+    if (count != counts[i]) {
+      counts[i] = count;
+      quiet_since = now;
+    }
+  }
+  if (now - quiet_since < timeout) return false;
+  // Quiescent past the timeout — but only a stall if work is pending;
+  // otherwise this is an idle pipeline (e.g. between captures) and the
+  // clock simply restarts.
+  if (pending && pending(what)) return true;
+  quiet_since = now;
+  return false;
+}
+
 Watchdog::Watchdog(const obs::HeartbeatBoard& board, WatchdogConfig config)
     : board_{board}, config_{std::move(config)} {
   thread_ = std::thread{[this] { run(); }};
@@ -40,7 +59,7 @@ bool Watchdog::stalled() const noexcept {
 }
 
 void Watchdog::run() {
-  using Clock = std::chrono::steady_clock;
+  using Clock = QuietClock::Clock;
   const auto timeout =
       std::chrono::microseconds{config_.timeout.total_micros()};
   auto poll = std::chrono::microseconds{config_.poll.total_micros()};
@@ -48,10 +67,7 @@ void Watchdog::run() {
   if (poll <= std::chrono::microseconds::zero())
     poll = std::chrono::microseconds{1000};
 
-  std::vector<std::uint64_t> last(board_.stages());
-  for (std::size_t i = 0; i < last.size(); ++i) last[i] = board_.count(i);
-  auto deadline = Clock::now() + timeout;
-
+  QuietClock quiet{board_, timeout, Clock::now()};
   while (true) {
     {
       util::MutexLock lock{mu_};
@@ -59,38 +75,19 @@ void Watchdog::run() {
       cv_.wait_for(lock, poll);
       if (stop_requested_) return;
     }
-    bool advanced = false;
-    for (std::size_t i = 0; i < last.size(); ++i) {
-      const std::uint64_t count = board_.count(i);
-      if (count != last[i]) {
-        last[i] = count;
-        advanced = true;
-      }
-    }
     const auto now = Clock::now();
-    if (advanced) {
-      deadline = now + timeout;
-      continue;
-    }
-    if (now < deadline) continue;
-
-    // Quiescent past the timeout — but only a stall if work is pending;
-    // otherwise this is an idle pipeline (e.g. between captures) and the
-    // clock simply restarts.
     std::string pending_desc;
-    if (!config_.pending || !config_.pending(pending_desc)) {
-      deadline = now + timeout;
-      continue;
-    }
+    if (!quiet.stalled(now, config_.pending, pending_desc)) continue;
+
     StallDiagnostic diag;
     diag.stalled_for = util::Duration::micros(
         std::chrono::duration_cast<std::chrono::microseconds>(
-            timeout + (now - deadline))
+            now - quiet.quiet_since)
             .count());
     diag.pending = std::move(pending_desc);
-    diag.stages.reserve(last.size());
-    for (std::size_t i = 0; i < last.size(); ++i)
-      diag.stages.push_back({board_.name(i), last[i]});
+    diag.stages.reserve(quiet.counts.size());
+    for (std::size_t i = 0; i < quiet.counts.size(); ++i)
+      diag.stages.push_back({board_.name(i), quiet.counts[i]});
     // Forensics: record the declaration itself, then attach the flight
     // recorder's recent history so exit-4 output explains the freeze.
     obs::FlightRecorder::global().set_thread_label("watchdog");

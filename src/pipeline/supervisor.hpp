@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -68,6 +69,30 @@ struct WatchdogConfig {
   /// when a stall is declared. The dnhunter default prints the diagnostic
   /// and exits 4; tests substitute a recorder.
   std::function<void(const StallDiagnostic&)> on_stall;
+};
+
+/// The watchdog's per-poll decision, apart from its thread so a test can
+/// drive it at chosen instants. The watchdog thread owns one.
+struct QuietClock {
+  using Clock = std::chrono::steady_clock;
+  QuietClock(const obs::HeartbeatBoard& b, Clock::duration t,
+             Clock::time_point now)
+      : board{b}, timeout{t}, quiet_since{now} {
+    for (std::size_t i = 0; i < b.stages(); ++i) counts.push_back(b.count(i));
+  }
+
+  /// One poll at `now`. A heartbeat advance since the last poll restarts
+  /// the clock; so does a full timeout of quiet with nothing pending (an
+  /// idle pipeline). True when a full timeout of quiet passed while
+  /// `pending` reports work, which it describes into `what`.
+  bool stalled(Clock::time_point now,
+               const std::function<bool(std::string&)>& pending,
+               std::string& what);
+
+  const obs::HeartbeatBoard& board;
+  Clock::duration timeout;
+  Clock::time_point quiet_since;      ///< last advance or restart
+  std::vector<std::uint64_t> counts;  ///< beat counts at the last poll
 };
 
 /// Background monitor of a HeartbeatBoard. Started on construction,

@@ -579,9 +579,16 @@ TEST_F(TcpDnsTest, BufferCapEvictsWhenNewStreamsArrive) {
 }  // namespace
 }  // namespace dnh::core
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "core/flowdb_io.hpp"
+#include "util/rng.hpp"
 
 namespace dnh::core {
 namespace {
@@ -754,6 +761,120 @@ TEST(FlowDbIo, LenientStillRejectsBadHeader) {
   std::stringstream in{"#something-else v9\n"};
   TsvRowErrors errors;
   EXPECT_FALSE(read_flow_tsv(in, TsvReadMode::kLenient, errors));
+}
+
+/// The iostream formatter write_flow_tsv used before it formatted into a
+/// buffer of its own: the byte oracle for the flows-TSV writer.
+std::string oracle_flow_tsv(const FlowDatabase& db) {
+  std::ostringstream out;
+  out << "#dnhunter-flows v1" << '\n'
+      << "#client_ip\tserver_ip\tclient_port\tserver_port\ttransport\t"
+         "first_us\tlast_us\tpkts_c2s\tpkts_s2c\tbytes_c2s\tbytes_s2c\t"
+         "protocol\tfqdn\tdns_response_us\ttagged_at_start\tdpi_label\t"
+         "cert_cn\tcert_san\thas_certificate\n";
+  const auto join_san = [](const std::vector<std::string>& san) {
+    std::string joined;
+    for (const auto& name : san) {
+      if (!joined.empty()) joined += ',';
+      joined += name;
+    }
+    return joined;
+  };
+  for (const auto& flow : db.flows()) {
+    out << flow.key.client_ip.to_string() << '\t'
+        << flow.key.server_ip.to_string() << '\t' << flow.key.client_port
+        << '\t' << flow.key.server_port << '\t'
+        << (flow.key.transport == flow::Transport::kTcp ? "tcp" : "udp")
+        << '\t' << flow.first_packet.micros_since_epoch() << '\t'
+        << flow.last_packet.micros_since_epoch() << '\t' << flow.packets_c2s
+        << '\t' << flow.packets_s2c << '\t' << flow.bytes_c2s << '\t'
+        << flow.bytes_s2c << '\t' << static_cast<int>(flow.protocol) << '\t'
+        << flow.fqdn << '\t' << flow.dns_response_time.micros_since_epoch()
+        << '\t' << (flow.tagged_at_start ? 1 : 0) << '\t' << flow.dpi_label
+        << '\t' << flow.cert_cn << '\t' << join_san(flow.cert_san) << '\t'
+        << (flow.has_certificate ? 1 : 0) << '\n';
+  }
+  return std::move(out).str();
+}
+
+TEST(FlowDbIo, WriterMatchesStreamOracle) {
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t times[] = {kMin, -1, 0, kMax, 1301616000123456};
+  const std::uint64_t counts[] = {0, 1, 4294967296, kMaxCount};
+  const std::uint32_t addresses[] = {0, 0xffffffff, 0x0a000003, 0x5db8d822};
+  const std::uint16_t ports[] = {0, 65535, 443, 53};
+
+  util::Rng rng{2718};
+  const auto name = [&rng](std::size_t n) {
+    std::string s;
+    for (std::size_t i = 0; i < n; ++i)
+      s += static_cast<char>('a' + rng.index(26));
+    return s + ".example.com";
+  };
+  FlowDatabase db;
+  // Enough rows that the 64 KiB buffer flushes many times, with every
+  // edge value and every protocol class mixed in.
+  for (std::size_t i = 0; i < 6000; ++i) {
+    TaggedFlow flow;
+    flow.key.client_ip = Ipv4Address{rng.chance(0.3)
+                                         ? addresses[rng.index(4)]
+                                         : static_cast<std::uint32_t>(
+                                               rng.next_u64())};
+    flow.key.server_ip = Ipv4Address{addresses[rng.index(4)] ^
+                                     static_cast<std::uint32_t>(
+                                         rng.chance(0.5) ? 0 : rng.next_u64())};
+    flow.key.client_port = rng.chance(0.5)
+                               ? ports[rng.index(4)]
+                               : static_cast<std::uint16_t>(rng.next_u64());
+    flow.key.server_port = ports[rng.index(4)];
+    flow.key.transport =
+        rng.chance(0.5) ? flow::Transport::kTcp : flow::Transport::kUdp;
+    flow.first_packet = Timestamp::from_micros(times[rng.index(5)]);
+    flow.last_packet = Timestamp::from_micros(
+        rng.chance(0.5) ? times[rng.index(5)]
+                        : static_cast<std::int64_t>(rng.next_u64()));
+    flow.packets_c2s = counts[rng.index(4)];
+    flow.packets_s2c = rng.next_u64();
+    flow.bytes_c2s = counts[rng.index(4)];
+    flow.bytes_s2c = rng.next_u64() >> rng.index(64);
+    flow.protocol = static_cast<flow::ProtocolClass>(
+        i % (static_cast<std::size_t>(flow::ProtocolClass::kOther) + 1));
+    // add() interns the label; the view only has to outlive that call.
+    const std::string label = rng.chance(0.7) ? name(1 + rng.index(20)) : "";
+    flow.fqdn = label;
+    flow.dns_response_time = Timestamp::from_micros(times[rng.index(5)]);
+    flow.tagged_at_start = rng.chance(0.5);
+    if (rng.chance(0.5)) flow.dpi_label = name(rng.index(30));
+    if (rng.chance(0.3)) flow.cert_cn = name(rng.index(10));
+    const std::size_t sans[] = {0, 1, 2, 50};
+    for (std::size_t n = sans[rng.index(4)]; n > 0; --n)
+      flow.cert_san.push_back(name(rng.index(12)));
+    flow.has_certificate = rng.chance(0.5);
+    db.add(std::move(flow));
+  }
+  // A field longer than the whole buffer, first with the buffer part
+  // full, then as the only row after it.
+  TaggedFlow huge = full_flow();
+  huge.dpi_label = std::string(100 * 1024, 'x') + ".example.com";
+  db.add(huge);
+  db.add(full_flow());
+  huge.cert_san.assign(50, "san.example.com");
+  db.add(std::move(huge));
+
+  const std::string expected = oracle_flow_tsv(db);
+  std::ostringstream out;
+  EXPECT_EQ(write_flow_tsv(db, out), db.size());
+  EXPECT_TRUE(out.str() == expected) << "ostream overload differs";
+
+  const std::string path = ::testing::TempDir() + "dnh_flow_oracle_" +
+                           std::to_string(::getpid()) + ".tsv";
+  EXPECT_EQ(write_flow_tsv(db, path), db.size());
+  std::ifstream in{path, std::ios::binary};
+  const std::string written{std::istreambuf_iterator<char>{in}, {}};
+  std::remove(path.c_str());
+  EXPECT_TRUE(written == expected) << "path overload differs";
 }
 
 TEST(FlowDbIo, CleanLenientReadReportsNoErrors) {

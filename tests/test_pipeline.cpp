@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -746,6 +747,37 @@ TEST(Canonicalize, SortsFlowsAndRebuildsIndexes) {
   EXPECT_EQ(db.by_server_port(443).size(), 2u);
 }
 
+TEST(Canonicalize, KeepsIdsWithoutGrowingTheTable) {
+  core::FlowDatabase db;
+  const std::vector<std::string> names = {"c.example.com", "a.example.com",
+                                          "", "b.example.com"};
+  for (int i = 7; i >= 0; --i) {
+    core::TaggedFlow flow;
+    flow.first_packet = util::Timestamp::from_seconds(i);
+    flow.key.client_ip = net::Ipv4Address(0x0a000000 + i);
+    flow.fqdn = names[static_cast<std::size_t>(i) % names.size()];
+    db.add(std::move(flow));
+  }
+  const core::DomainTable& table = *db.domain_table();
+  std::map<std::string, core::DomainId> id_of;
+  for (const auto& flow : db.flows())
+    id_of.emplace(std::string{flow.fqdn}, flow.fqdn_id);
+  const std::size_t names_before = table.size();
+  const std::size_t bytes_before = table.arena_bytes();
+
+  pipeline::canonicalize(db);
+  ASSERT_EQ(db.size(), 8u);
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const core::TaggedFlow& flow = db.flows()[i];
+    EXPECT_EQ(flow.first_packet, util::Timestamp::from_seconds(
+                                     static_cast<std::int64_t>(i)));
+    EXPECT_EQ(flow.fqdn_id, id_of.at(std::string{flow.fqdn}));
+    EXPECT_EQ(flow.fqdn.data(), table.view(flow.fqdn_id).data());
+  }
+  EXPECT_EQ(table.size(), names_before);
+  EXPECT_EQ(table.arena_bytes(), bytes_before);
+}
+
 // ------------------------------------------------------------------ merge
 
 /// Event rows with owned text, comparable after the parts' tables die.
@@ -861,6 +893,63 @@ TEST(Merge, MatchesCanonicalizedConcatenationAcrossPrivateTables) {
   EXPECT_TRUE(pipeline::merge({}).db.flows().empty());
 }
 
+TEST(Merge, SinglePartDropsUnreferencedNames) {
+  // Like a Sniffer's window: the table is shared with a resolver, so it
+  // holds names no row references, and ids follow DNS arrival rather
+  // than the rows' canonical order.
+  auto shared = std::make_shared<core::DomainTable>();
+  for (const char* name : {"resolver-only.example.net", "c.example.com",
+                           "b.example.com", "a.example.com",
+                           "another-resolver-only.example.net"})
+    shared->intern(name);
+  std::vector<core::AnalysisWindow> parts(1);
+  core::AnalysisWindow& part = parts[0];
+  part.db = core::FlowDatabase{shared};
+  part.start = util::Timestamp::from_seconds(10);
+  part.end = util::Timestamp::from_seconds(20);
+  const char* labels[] = {"b.example.com", "", "c.example.com",
+                          "a.example.com", "b.example.com"};
+  for (int i = 0; i < 5; ++i) {
+    core::TaggedFlow flow;
+    flow.first_packet = util::Timestamp::from_seconds(i);
+    flow.key.client_ip = net::Ipv4Address(0x0a000001);
+    flow.fqdn_id = *shared->find(labels[i]);
+    part.db.append(std::move(flow));
+    core::DnsEvent event;
+    event.time = util::Timestamp::from_seconds(4 - i);
+    event.fqdn_id = *shared->find(labels[(i + 2) % 5]);
+    event.fqdn = shared->view(event.fqdn_id);
+    part.dns_log.push_back(std::move(event));
+  }
+  pipeline::canonicalize(part);
+  std::ostringstream expected_tsv;
+  core::write_flow_tsv(part.db, expected_tsv);
+  const std::vector<std::string> expected_events = event_rows(part.dns_log);
+
+  const core::AnalysisWindow out = pipeline::merge(std::move(parts));
+  std::ostringstream merged_tsv;
+  core::write_flow_tsv(out.db, merged_tsv);
+  EXPECT_EQ(merged_tsv.str(), expected_tsv.str());
+  EXPECT_EQ(event_rows(out.dns_log), expected_events);
+  EXPECT_EQ(out.start, util::Timestamp::from_seconds(10));
+  EXPECT_EQ(out.end, util::Timestamp::from_seconds(20));
+
+  // Only the three referenced names (plus the empty one) survive, with
+  // ids minted in first-use order: flows first, then events.
+  const core::DomainTable& table = *out.db.domain_table();
+  EXPECT_NE(&table, shared.get());
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_FALSE(table.find("resolver-only.example.net"));
+  core::DomainId next = 1;
+  const auto check = [&](std::string_view fqdn, core::DomainId id) {
+    EXPECT_EQ(fqdn.data(), table.view(id).data());
+    if (id == next) ++next;
+    EXPECT_LT(id, next) << fqdn << " skips ahead of first-use order";
+  };
+  for (const auto& flow : out.db.flows()) check(flow.fqdn, flow.fqdn_id);
+  for (const auto& event : out.dns_log) check(event.fqdn, event.fqdn_id);
+}
+
 // ------------------------------------------------- lifecycle supervision
 
 TEST(Supervisor, WatchdogFiresOnQuiescenceWithPendingWork) {
@@ -910,26 +999,37 @@ TEST(Supervisor, WatchdogStaysQuietWhenIdleOrBeating) {
   std::atomic<bool> fired{false};
   std::atomic<bool> pending{false};
 
-  pipeline::WatchdogConfig config;
-  config.timeout = util::Duration::millis(40);
-  config.poll = util::Duration::millis(10);
-  config.pending = [&](std::string&) { return pending.load(); };
-  config.on_stall = [&](const pipeline::StallDiagnostic&) { fired = true; };
-  pipeline::Watchdog watchdog{board, config};
+  // The watchdog thread's per-poll decision, driven at chosen instants so
+  // a descheduled test cannot look like a 40 ms stall.
+  const auto t0 = pipeline::QuietClock::Clock::now();
+  const auto at = [t0](int ms) { return t0 + std::chrono::milliseconds(ms); };
+  pipeline::QuietClock quiet{board, std::chrono::milliseconds(40), t0};
+  const std::function<bool(std::string&)> is_pending = [&](std::string&) {
+    return pending.load();
+  };
+  std::string what;
+  const auto poll = [&](int ms) {
+    if (quiet.stalled(at(ms), is_pending, what)) fired = true;
+  };
 
   // Idle (nothing pending): quiescence is not a stall.
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  for (int ms = 10; ms <= 120; ms += 10) poll(ms);
   EXPECT_FALSE(fired.load());
 
   // Pending but beating: progress resets the clock.
   pending = true;
   for (int i = 0; i < 12; ++i) {
     board.beat(stage);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    poll(130 + 10 * i);
   }
-  watchdog.stop();
   EXPECT_FALSE(fired.load());
-  EXPECT_FALSE(watchdog.stalled());
+
+  // Control: the same clock does fire once the beats stop for a full
+  // timeout with work still pending.
+  poll(240 + 30);
+  EXPECT_FALSE(fired.load());
+  poll(240 + 40);
+  EXPECT_TRUE(fired.load());
 }
 
 TEST(Supervisor, DrainFlagRoundTrip) {
